@@ -31,6 +31,7 @@ from .ifs import (
     invariance_check,
     inverse_system,
     iterate,
+    orbit,
     orbit_density_probe,
     word_map,
 )

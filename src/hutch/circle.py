@@ -2,8 +2,7 @@
 
 Points are exact rationals in [0, 1), sets are canonical finite unions of
 closed arcs, and distances (arc-length metric, Hausdorff metric) are computed
-exactly.  Everything here is immutable and pure; values can be shared freely
-across threads.
+exactly.  Everything here is immutable and pure.
 """
 
 from __future__ import annotations
@@ -11,7 +10,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -399,37 +398,48 @@ def gap_radius(a: ArcSet) -> Fraction:
     return max(g.length for g in gaps) / 2
 
 
-def coarsen(a: ArcSet, eta: Fraction) -> ArcSet:
-    """Fill every gap shorter than eta; full circle if all gaps are short."""
-    if a.is_full:
-        return a
-    return normalize_segments(
-        ((p.start.value, p.start.value + p.length) for p in a.arcs),
-        fill_eta=eta,
-    )
+def round_segments(
+    raw: Iterable[tuple[Fraction, Fraction]], max_denominator: int | None
+) -> Iterator[tuple[Fraction, Fraction]]:
+    """Round lift-line segments (lo, hi) to endpoints with denominator <=
+    max_denominator; None passes them through unchanged.
 
-
-def limit_denominators(a: ArcSet, max_denominator: int) -> ArcSet:
-    """Round arc endpoints to rationals with denominator <= max_denominator.
-
-    Lengths 0 and 1 are preserved exactly; overlaps created by rounding are
-    merged by renormalization.
+    The one endpoint rule: lo is rounded, lengths 0 and 1 are kept exact,
+    and hi is rounded, then clamped to lo so rounding never inverts a
+    segment.
     """
-    segments = []
-    for piece in a.arcs:
-        lo = piece.start.value
+    if max_denominator is None:
+        yield from raw
+        return
+    for lo, hi in raw:
+        length = hi - lo
         if lo.denominator > max_denominator:
             lo = lo.limit_denominator(max_denominator)
-        if piece.length in (0, 1):
-            hi = lo + piece.length
+        if length == 0:
+            hi = lo
+        elif length == 1:
+            hi = lo + 1
         else:
-            hi = piece.start.value + piece.length
             if hi.denominator > max_denominator:
                 hi = hi.limit_denominator(max_denominator)
-            if hi < lo:  # rounding must not invert the arc
+            if hi < lo:
                 hi = lo
-        segments.append((lo, hi))
-    return normalize_segments(segments)
+        yield lo, hi
+
+
+def round_arcset(
+    a: ArcSet, max_denominator: int | None, fill_eta: Fraction | None
+) -> tuple[ArcSet, bool]:
+    """Re-canonicalize a with its endpoints rounded (round_segments) and its
+    gaps shorter than fill_eta filled, in one normalization pass; the flag is
+    True iff gap-filling changed the set."""
+    return _normalize_segments_flagged(
+        round_segments(
+            ((p.start.value, p.start.value + p.length) for p in a.arcs),
+            max_denominator,
+        ),
+        fill_eta,
+    )
 
 
 def arcset_to_obj(a: ArcSet) -> list[dict[str, str]]:

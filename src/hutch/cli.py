@@ -1,10 +1,10 @@
 """Command-line driver: build or load systems, run probes, emit reports.
 
 Bundles are deterministic: the same config and seed produce byte-identical
-bundle.json files (wall-clock timings go to a timings.json sidecar).  Output
-files are written atomically after each probe completes.  HUTCH_THREADS caps
-worker parallelism for independent probes; results are collected in config
-order, so parallel runs are bit-identical to sequential ones.
+bundle.json files (wall-clock timings go to a timings.json sidecar).  Probes
+run one after another in config order; each probe's CSV is written atomically
+as soon as the probe completes, and bundle.json and timings.json once all
+probes have run.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
@@ -179,11 +178,15 @@ def parse_config(obj: dict, overrides: dict | None = None) -> ExperimentConfig:
         probes_obj = DEFAULT_PROBES.get(system, []) if isinstance(system, str) else []
     if not isinstance(probes_obj, list):
         raise ConfigError("field 'probes': expected list")
-    probes = tuple(_resolve_probe(p, i) for i, p in enumerate(probes_obj))
+    probes = tuple(
+        _resolve_probe(_override_probe(p, overrides), i)
+        for i, p in enumerate(probes_obj)
+    )
 
-    precision_obj = dict(obj.get("precision", {}))
+    precision_obj = obj.get("precision", {})
     if not isinstance(precision_obj, dict):
         raise ConfigError("field 'precision': expected JSON object")
+    precision_obj = dict(precision_obj)
     for key in ("denominator_limit", "coarsen", "arc_cap"):
         if overrides.get(key) is not None:
             precision_obj[key] = overrides[key]
@@ -233,9 +236,42 @@ _PROBE_KINDS = (
 )
 
 
+# The probe field each of --max-iter and --tol overrides, per probe kind.
+_OVERRIDDEN_FIELDS = {
+    "max_iter": {
+        "attractor": "budget",
+        "covering": "budget",
+        "iterate": "steps",
+        "minimality": "depth",
+        "sensitivity": "truncation",
+        "equicontinuity": "truncation",
+    },
+    "tol": {"attractor": "tol", "invariance": "tol", "minimality": "epsilon"},
+}
+
+
+def _override_probe(p: Any, overrides: dict) -> Any:
+    """The raw probe object with the --max-iter / --tol overrides applied,
+    so they pass the same validation as config values."""
+    if not isinstance(p, dict):
+        return p
+    p = dict(p)
+    for flag, fields in _OVERRIDDEN_FIELDS.items():
+        key = fields.get(p.get("probe"))
+        if key is not None and overrides.get(flag) is not None:
+            p[key] = overrides[flag]
+    return p
+
+
 def _positive(value: Fraction, key: str, ctx: str) -> Fraction:
     if value <= 0:
         raise ConfigError(f"field '{ctx}{key}': must be positive, got {value}")
+    return value
+
+
+def _arc_length(value: Fraction, key: str, ctx: str) -> Fraction:
+    if not 0 < value <= 1:
+        raise ConfigError(f"field '{ctx}{key}': must lie in (0, 1], got {value}")
     return value
 
 
@@ -289,7 +325,7 @@ def _resolve_probe(p: Any, index: int) -> dict:
     elif kind == "covering":
         out["center"] = rational_str(_cfg_rational(p, "center", default=0, context=ctx))
         out["length"] = rational_str(
-            _positive(
+            _arc_length(
                 _cfg_rational(p, "length", default=Fraction(1, 64), context=ctx),
                 "length",
                 ctx,
@@ -304,7 +340,7 @@ def _resolve_probe(p: Any, index: int) -> dict:
             raise ConfigError(f"field '{ctx}lengths': expected non-empty list")
         try:
             out["lengths"] = [
-                rational_str(_positive(frac(v), "lengths", ctx)) for v in lengths
+                rational_str(_arc_length(frac(v), "lengths", ctx)) for v in lengths
             ]
         except ConfigError:
             raise
@@ -614,43 +650,20 @@ def run(config: ExperimentConfig) -> ReportBundle:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     bundle = ReportBundle(config=config, reports=[], timings=[])
-    workers = max(1, int(os.environ.get("HUTCH_THREADS", "1")))
-
-    def execute(spec: dict) -> tuple[dict, float]:
-        started = time.perf_counter()
-        report = _run_probe(spec, system, config.precision)
-        return report, time.perf_counter() - started
-
-    specs = list(config.probes)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(execute, spec) for spec in specs]
-            outcomes = []
-            for fut in futures:
-                try:
-                    outcomes.append(fut.result())
-                except ResourceCapError as exc:
-                    outcomes.append(exc)
-    else:
-        outcomes = []
-        for spec in specs:
-            try:
-                outcomes.append(execute(spec))
-            except ResourceCapError as exc:
-                outcomes.append(exc)
-
     cap_error: ResourceCapError | None = None
-    for i, (spec, outcome) in enumerate(zip(specs, outcomes)):
-        if isinstance(outcome, ResourceCapError):
-            cap_error = outcome
+    for i, spec in enumerate(config.probes):
+        started = time.perf_counter()
+        try:
+            report = _run_probe(spec, system, config.precision)
+        except ResourceCapError as exc:
+            cap_error = exc
             bundle.reports.append(
-                {"probe": spec["probe"], "params": spec, "error": str(outcome)}
+                {"probe": spec["probe"], "params": spec, "error": str(exc)}
             )
             bundle.timings.append(0.0)
             continue
-        report, elapsed = outcome
         bundle.reports.append({"probe": spec["probe"], "params": spec, "report": report})
-        bundle.timings.append(elapsed)
+        bundle.timings.append(time.perf_counter() - started)
         _atomic_write(
             out_dir / f"probe_{i:02d}_{spec['probe']}.csv", _probe_csv(spec, report)
         )
@@ -766,33 +779,13 @@ def _load_config(args, extra_probes=None) -> ExperimentConfig:
         "seed": args.seed,
         "denominator_limit": args.denominator_limit,
         "coarsen": args.coarsen,
+        "max_iter": args.max_iter,
+        "tol": args.tol,
     }
     if extra_probes is not None:
         raw = dict(raw)
         raw["probes"] = extra_probes
-    config = parse_config(raw, overrides)
-    if args.max_iter is not None or args.tol is not None:
-        patched = []
-        for spec in config.probes:
-            spec = dict(spec)
-            if args.max_iter is not None:
-                for key in ("budget", "steps", "depth", "truncation"):
-                    if key in spec:
-                        spec[key] = args.max_iter
-            if args.tol is not None:
-                for key in ("tol", "epsilon"):
-                    if key in spec:
-                        spec[key] = rational_str(frac(args.tol))
-            patched.append(spec)
-        config = ExperimentConfig(
-            system_source=config.system_source,
-            probes=tuple(patched),
-            precision=config.precision,
-            out_dir=config.out_dir,
-            seed=config.seed,
-            system_params=config.system_params,
-        )
-    return config
+    return parse_config(raw, overrides)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -7,18 +7,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 from .circle import (
     ArcSet,
     CirclePoint,
     _normalize_segments_flagged,
-    coarsen,
     gap_radius,
     hausdorff,
-    limit_denominators,
     normalize_segments,
     rational_str,
+    round_arcset,
+    round_segments,
 )
 from .homeo import PLHomeo, Word
 
@@ -79,15 +80,14 @@ class PrecisionPolicy:
     arc_cap: int = 100_000
 
     def apply(self, a: ArcSet) -> tuple[ArcSet, bool]:
-        """Returns (processed set, whether coarsening changed it)."""
-        if self.denominator_limit is not None:
-            a = limit_denominators(a, self.denominator_limit)
-        coarsened = False
-        if self.coarsen_eta is not None:
-            before = len(a.arcs)
-            a = coarsen(a, self.coarsen_eta)
-            coarsened = len(a.arcs) != before
-        elif len(a.arcs) > self.arc_cap:
+        """Round and coarsen a in one normalization pass; returns
+        (processed set, whether coarsening changed it)."""
+        return self._capped(
+            *round_arcset(a, self.denominator_limit, self.coarsen_eta)
+        )
+
+    def _capped(self, a: ArcSet, coarsened: bool) -> tuple[ArcSet, bool]:
+        if self.coarsen_eta is None and len(a.arcs) > self.arc_cap:
             raise ResourceCapError(
                 f"arc count {len(a.arcs)} exceeds cap {self.arc_cap}"
             )
@@ -112,11 +112,14 @@ PROBE_POLICY = PrecisionPolicy(
 )
 
 
+def _images(generators: Sequence[PLHomeo], a: ArcSet):
+    """Lift segments g(arc) for each generator g (outer) and arc of A."""
+    return (g.image_segment(piece) for g in generators for piece in a.arcs)
+
+
 def hutchinson(system: IFS, a: ArcSet) -> ArcSet:
     """F(A): the canonical union of generator images of A."""
-    return normalize_segments(
-        g.image_segment(piece) for g in system.generators for piece in a.arcs
-    )
+    return normalize_segments(_images(system.generators, a))
 
 
 def hutchinson_step(
@@ -124,33 +127,27 @@ def hutchinson_step(
 ) -> tuple[ArcSet, bool]:
     """One Hutchinson step with the policy's rounding and coarsening applied
     in the same normalization pass; returns (F(A) processed, coarsened?)."""
-    limit = policy.denominator_limit
-
-    def segments():
-        for g in system.generators:
-            for piece in a.arcs:
-                lo, hi = g.image_segment(piece)
-                if limit is not None:
-                    length = hi - lo
-                    if lo.denominator > limit:
-                        lo = lo.limit_denominator(limit)
-                    if length == 0:
-                        hi = lo
-                    elif length == 1:
-                        hi = lo + 1
-                    else:
-                        if hi.denominator > limit:
-                            hi = hi.limit_denominator(limit)
-                        if hi < lo:
-                            hi = lo
-                yield lo, hi
-
-    out, coarse = _normalize_segments_flagged(segments(), policy.coarsen_eta)
-    if policy.coarsen_eta is None and len(out.arcs) > policy.arc_cap:
-        raise ResourceCapError(
-            f"arc count {len(out.arcs)} exceeds cap {policy.arc_cap}"
+    return policy._capped(
+        *_normalize_segments_flagged(
+            round_segments(_images(system.generators, a), policy.denominator_limit),
+            policy.coarsen_eta,
         )
-    return out, coarse
+    )
+
+
+def orbit(
+    system: IFS, start: ArcSet, policy: PrecisionPolicy = EXACT
+) -> Iterator[tuple[ArcSet, bool]]:
+    """Yield (F^n(A) processed, coarsened?) for n = 0, 1, 2, ...
+
+    Step 0 is the policy applied to A; every later step is one
+    hutchinson_step.  Only the current set is held, and a step runs only
+    when it is pulled, so each consumer keeps its own stopping rule.
+    """
+    current, coarse = policy.apply(start)
+    while True:
+        yield current, coarse
+        current, coarse = hutchinson_step(system, current, policy)
 
 
 @dataclass(frozen=True)
@@ -177,18 +174,8 @@ def iterate(
     """Iterate the Hutchinson operator n times, keeping the full history."""
     if n < 0:
         raise ValueError("iteration count must be >= 0")
-    current, coarse0 = policy.apply(a)
-    sets = [current]
-    coarsened = [coarse0]
-    for _ in range(n):
-        current, coarse = hutchinson_step(system, current, policy)
-        sets.append(current)
-        coarsened.append(coarse)
-    return Trajectory(
-        tuple(sets),
-        tuple(len(s.arcs) for s in sets),
-        tuple(coarsened),
-    )
+    sets, coarsened = zip(*islice(orbit(system, a, policy), n + 1))
+    return Trajectory(sets, tuple(len(s.arcs) for s in sets), coarsened)
 
 
 def word_map(system: IFS, word: Word | Sequence[int], x: CirclePoint) -> CirclePoint:
@@ -293,10 +280,7 @@ def invariance_check(system: IFS, k_set: ArcSet, tol: Fraction) -> InvarianceRep
     """True iff max over generators of d_H(f(K), K) <= tol (tol = 0 demands
     exact invariance)."""
     distances = tuple(
-        hausdorff(
-            normalize_segments(g.image_segment(piece) for piece in k_set.arcs),
-            k_set,
-        )
+        hausdorff(normalize_segments(_images((g,), k_set)), k_set)
         for g in system.generators
     )
     return InvarianceReport(tol=tol, distances=distances, ok=max(distances) <= tol)
@@ -349,21 +333,18 @@ def attractor_probe(
         raise ValueError("budget must be >= 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    current, coarse = policy.apply(k_set)
-    steps = [(0, gap_radius(current))]
-    arc_counts = [len(current.arcs)]
-    coarsened = [coarse]
-    converged_at = 0 if steps[0][1] <= tol else None
-    n = 0
-    while converged_at is None and n < budget:
-        n += 1
-        current, coarse = hutchinson_step(system, current, policy)
+    steps, arc_counts, coarsened = [], [], []
+    converged_at = None
+    for n, (current, coarse) in enumerate(
+        islice(orbit(system, k_set, policy), budget + 1)
+    ):
         radius = gap_radius(current)
         steps.append((n, radius))
         arc_counts.append(len(current.arcs))
         coarsened.append(coarse)
         if radius <= tol:
             converged_at = n
+            break
     return ConvergenceReport(
         steps=tuple(steps),
         arc_counts=tuple(arc_counts),

@@ -15,11 +15,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
-from typing import Sequence
+from itertools import islice, zip_longest
+from typing import Iterator, Sequence
 
 from .circle import (
     Arc,
+    ArcSet,
     CirclePoint,
     gap_radius,
     hausdorff,
@@ -27,7 +28,8 @@ from .circle import (
     point_set,
     rational_str,
 )
-from .ifs import EXACT, IFS, PrecisionPolicy, hutchinson_step
+from .ifs import EXACT, IFS, PrecisionPolicy, orbit
+from .ifs import hutchinson_step  # unused here; perfbench/tracer.py patches it
 
 
 def dF_estimate(
@@ -40,56 +42,48 @@ def dF_estimate(
     """max over 0 <= n <= truncation of d_H(F^n({x1}), F^n({x2}))."""
     if truncation < 0:
         raise ValueError("truncation must be >= 0")
-    return _df_over_sets(
-        _lazy_singleton_sets(system, x1, truncation, policy),
-        _lazy_singleton_sets(system, x2, truncation, policy),
-    )
+    return _df_over_orbits(
+        _singleton_orbit(system, x1, truncation, policy),
+        _singleton_orbit(system, x2, truncation, policy),
+    )[0]
 
 
-def _lazy_singleton_sets(
-    system: IFS,
-    x: CirclePoint,
-    n: int,
-    policy: PrecisionPolicy,
-    fired: list[bool] | None = None,
-):
-    """Yield {x}, F({x}), ..., F^n({x}), stopping after a full circle: the
-    full circle is a fixed point of F for homeomorphisms, so later sets
-    repeat it.  When given, fired[0] is set if coarsening changed any step."""
-    current, coarse = policy.apply(point_set([x]))
-    if coarse and fired is not None:
-        fired[0] = True
-    yield current
-    for _ in range(n):
-        if current.is_full:
+def _singleton_orbit(
+    system: IFS, x: CirclePoint, truncation: int, policy: PrecisionPolicy
+) -> Iterator[tuple[ArcSet, bool]]:
+    """The orbit steps of {x} up to F^truncation({x}), ending after a full
+    circle: the full circle is a fixed point of F for homeomorphisms, so
+    later steps repeat it."""
+    for n, step in enumerate(orbit(system, point_set([x]), policy)):
+        yield step
+        if n == truncation or step[0].is_full:
             return
-        current, coarse = hutchinson_step(system, current, policy)
-        if coarse and fired is not None:
-            fired[0] = True
-        yield current
 
 
-def _df_over_sets(sets_a, sets_b) -> Fraction:
-    """max of stepwise Hausdorff distances over two parallel trajectories.
+def _df_over_orbits(steps_a, steps_b) -> tuple[Fraction, bool]:
+    """max of stepwise Hausdorff distances over two parallel orbits, and
+    whether coarsening changed any step consumed.
 
-    Once one trajectory ends (its set went full and stays there), remaining
+    Once one orbit ends (its set went full and stays there), remaining
     steps compare against the full circle; once both end, the remaining
     terms are zero.
     """
     best = Fraction(0)
-    last_a = last_b = None
-    for a, b in zip_longest(sets_a, sets_b):
-        if a is None and b is None:
+    coarsened = False
+    a = b = None
+    for step_a, step_b in zip_longest(steps_a, steps_b):
+        if step_a is not None:
+            a, coarse = step_a
+            coarsened |= coarse
+        if step_b is not None:
+            b, coarse = step_b
+            coarsened |= coarse
+        if (step_a is None or step_b is None) and a.is_full and b.is_full:
             break
-        last_a = a if a is not None else last_a
-        last_b = b if b is not None else last_b
-        if a is None or b is None:
-            if last_a.is_full and last_b.is_full:
-                break
-        best = max(best, hausdorff(last_a, last_b))
+        best = max(best, hausdorff(a, b))
         if best == Fraction(1, 2):
             break  # metric maximum; later terms cannot exceed it
-    return best
+    return best, coarsened
 
 
 @dataclass(frozen=True)
@@ -161,15 +155,14 @@ def equicontinuity_probe(
             offsets.add(step)
             offsets.add(-step)
 
-    fired = [False]
-    base_sets = list(_lazy_singleton_sets(system, x, truncation, policy, fired))
-    df_by_offset = {
-        off: _df_over_sets(
-            iter(base_sets),
-            _lazy_singleton_sets(system, x + off, truncation, policy, fired),
+    base = list(_singleton_orbit(system, x, truncation, policy))
+    coarsened = any(coarse for _, coarse in base)
+    df_by_offset = {}
+    for off in sorted(offsets):
+        df_by_offset[off], coarse = _df_over_orbits(
+            iter(base), _singleton_orbit(system, x + off, truncation, policy)
         )
-        for off in sorted(offsets)
-    }
+        coarsened |= coarse
     entries = tuple(
         (d, max(v for off, v in df_by_offset.items() if abs(off) <= d))
         for d in deltas
@@ -179,7 +172,7 @@ def equicontinuity_probe(
         truncation=truncation,
         sample_count=len(offsets),
         entries=entries,
-        coarsened=fired[0],
+        coarsened=coarsened,
     )
 
 
@@ -203,10 +196,8 @@ def covering_time(
         raise ValueError("budget must be >= 1")
     slack = policy.coarsen_eta if policy.coarsen_eta is not None else Fraction(0)
 
-    current, _ = policy.apply(normalize([u]))
-    for n in range(budget + 1):
-        if n > 0:
-            current, _ = hutchinson_step(system, current, policy)
+    steps = islice(orbit(system, normalize([u]), policy), budget + 1)
+    for n, (current, _) in enumerate(steps):
         if current.is_full or gap_radius(current) <= slack:
             return n
     return None
@@ -288,26 +279,26 @@ def sensitivity_probe(
     if not centers:
         raise ValueError("need at least one center")
 
-    fired = [False]
+    coarsened = False
     entries = []
     for length in lens:
         for center in centers:
             u = Arc(center - length / 2, length)
-            samples = [u.start, center, u.end]
-            trajectories = [
-                list(_lazy_singleton_sets(system, p, truncation, policy, fired))
-                for p in samples
+            orbits = [
+                list(_singleton_orbit(system, p, truncation, policy))
+                for p in (u.start, center, u.end)
             ]
+            coarsened |= any(coarse for steps in orbits for _, coarse in steps)
             diameter = max(
-                _df_over_sets(iter(ta), iter(tb))
-                for i, ta in enumerate(trajectories)
-                for tb in trajectories[i + 1 :]
+                _df_over_orbits(iter(ta), iter(tb))[0]
+                for i, ta in enumerate(orbits)
+                for tb in orbits[i + 1 :]
             )
             cover_n = covering_time(system, u, truncation, policy)
             bound: Fraction | None = None
             if cover_n is not None:
-                center_sets = trajectories[1]
-                at_cover = center_sets[min(cover_n, len(center_sets) - 1)]
+                center_steps = orbits[1]
+                at_cover = center_steps[min(cover_n, len(center_steps) - 1)][0]
                 bound = Fraction(1, 2) - gap_radius(at_cover)
             evidence = max(diameter, bound) if bound is not None else diameter
             entries.append(
@@ -328,5 +319,5 @@ def sensitivity_probe(
         entries=tuple(entries),
         lower_bound=lower,
         verdict=verdict,
-        coarsened=fired[0],
+        coarsened=coarsened,
     )

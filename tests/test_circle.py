@@ -15,16 +15,15 @@ from hutch.circle import (
     arcset_to_obj,
     circle_dist,
     complement_gaps,
-    coarsen,
     full_circle,
     gap_radius,
     hausdorff,
     is_subset,
-    limit_denominators,
     normalize,
     point_set,
     union,
 )
+from hutch.ifs import PrecisionPolicy
 from conftest import random_arcset
 
 F = Fraction
@@ -268,19 +267,36 @@ def test_gap_radius_is_distance_to_full():
         assert gap_radius(a) == hausdorff(a, full_circle())
 
 
-# -- precision passes -------------------------------------------------------------
+# -- precision passes (PrecisionPolicy.apply: round, then fill gaps) ---------------
+
+
+def coarsen(a: ArcSet, eta: Fraction) -> tuple[ArcSet, bool]:
+    return PrecisionPolicy(coarsen_eta=eta).apply(a)
+
+
+def limit_denominators(a: ArcSet, max_denominator: int) -> ArcSet:
+    return PrecisionPolicy(denominator_limit=max_denominator).apply(a)[0]
 
 
 def test_coarsen_fills_small_gaps():
     a = normalize([arc(0, F(1, 4)), arc(F(5, 16), F(1, 4))])
-    out = coarsen(a, F(1, 8))
+    out, coarsened = coarsen(a, F(1, 8))
     assert out.arcs == (Arc(CirclePoint(0), F(9, 16)),)
-    assert coarsen(a, F(1, 32)) == a
+    assert coarsened
+    assert coarsen(a, F(1, 32)) == (a, False)
 
 
 def test_coarsen_everything_gives_full():
     a = normalize([arc(0, F(1, 2)), arc(F(5, 8), F(1, 4))])
-    assert coarsen(a, F(1, 4)).is_full
+    out, coarsened = coarsen(a, F(1, 4))
+    assert out.is_full and coarsened
+
+
+def test_coarsen_flags_single_arc_filled_to_full_circle():
+    # the arc count stays 1, but filling the 1/1024 gap changed the set
+    a = normalize([arc(0, F(1023, 1024))])
+    out, coarsened = coarsen(a, F(1, 512))
+    assert out.is_full and coarsened
 
 
 def test_limit_denominators_rounds_endpoints():

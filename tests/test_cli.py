@@ -60,19 +60,48 @@ def test_unknown_probe_rejected():
         parse_config({"system": "theorem2", "probes": [{"probe": "entropy"}]})
 
 
-def test_cli_exit_code_on_malformed_config(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "config, flags, field",
+    [
+        pytest.param(
+            {"system": "theorem2", "probes": [{"probe": "attractor", "tol": "0.3"}]},
+            [],
+            "probes[0].tol",
+            id="decimal-tol",
+        ),
+        pytest.param(
+            {"system": "theorem2", "probes": [], "precision": 5},
+            [],
+            "'precision'",
+            id="precision-not-object",
+        ),
+        pytest.param(
+            {"system": "theorem2", "probes": [{"probe": "attractor"}]},
+            ["--tol", "0.5"],
+            "probes[0].tol",
+            id="decimal-tol-flag",
+        ),
+        pytest.param(
+            {"system": "theorem2", "probes": [{"probe": "minimality"}]},
+            ["--max-iter", "0"],
+            "probes[0].depth",
+            id="max-iter-below-floor",
+        ),
+        pytest.param(
+            {"system": "theorem1",
+             "probes": [{"probe": "sensitivity", "lengths": ["2"]}]},
+            [],
+            "probes[0].lengths",
+            id="length-above-one",
+        ),
+    ],
+)
+def test_cli_exit_code_on_malformed_config(tmp_path, capsys, config, flags, field):
     cfg = tmp_path / "bad.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "system": "theorem2",
-                "probes": [{"probe": "attractor", "tol": "0.3"}],
-            }
-        )
-    )
-    code = main(["run", "--config", str(cfg)])
+    cfg.write_text(json.dumps(config))
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")] + flags)
     assert code == EXIT_CONFIG
-    assert "probes[0].tol" in capsys.readouterr().err
+    assert field in capsys.readouterr().err
 
 
 def test_cli_exit_code_on_resource_cap(tmp_path, capsys):

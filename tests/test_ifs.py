@@ -4,10 +4,12 @@ from fractions import Fraction
 import pytest
 
 from hutch.circle import (
+    Arc,
     CirclePoint,
     full_circle,
     gap_radius,
     is_subset,
+    normalize,
     point_set,
     union,
 )
@@ -26,6 +28,7 @@ from hutch.ifs import (
     orbit_density_probe,
     word_map,
 )
+from hutch.probes import covering_time
 from conftest import ALPHA, random_arcset, random_point
 
 F = Fraction
@@ -110,6 +113,25 @@ def test_iterate_records_coarsening(theorem2):
     policy = PrecisionPolicy(coarsen_eta=F(1, 16))
     traj = iterate(theorem2, point_set([CirclePoint(F(1, 3))]), 8, policy)
     assert any(traj.coarsened)
+
+
+def test_orbit_consumers_agree(theorem2):
+    # iterate, covering_time and attractor_probe all consume the one orbit
+    # engine; each applies only its own stopping rule to the same steps
+    policy = PrecisionPolicy(denominator_limit=2**10, coarsen_eta=F(1, 256))
+    u = Arc(CirclePoint(F(1, 3)), F(1, 64))
+    traj = iterate(theorem2, normalize([u]), 16, policy)
+    covered = [
+        s.is_full or gap_radius(s) <= policy.coarsen_eta for s in traj.sets
+    ]
+    assert covering_time(theorem2, u, 16, policy) == covered.index(True)
+    report = attractor_probe(
+        theorem2, normalize([u]), budget=16, tol=F(1, 64), policy=policy
+    )
+    n = len(report.arc_counts)
+    assert n < len(traj)
+    assert report.arc_counts == traj.arc_counts[:n]
+    assert report.coarsened == traj.coarsened[:n]
 
 
 # -- word_map ---------------------------------------------------------------------
