@@ -194,18 +194,6 @@ class ArcSet:
             return candidate
         return None
 
-    def point_distance(self, p: CirclePoint) -> Fraction:
-        """min over x in the set of circle_dist(p, x), exactly."""
-        arcs = self.arcs
-        if arcs[0].length == 1:
-            return Fraction(0)
-        i = self._gap_index(p)
-        before = arcs[i]
-        if before.contains(p):
-            return Fraction(0)
-        after = arcs[(i + 1) % len(arcs)]
-        return min(circle_dist(p, before.end), circle_dist(p, after.start))
-
     def __repr__(self) -> str:
         return f"ArcSet({list(self.arcs)!r})"
 
@@ -367,35 +355,106 @@ def is_subset(a: ArcSet, b: ArcSet) -> bool:
     return True
 
 
-def _directed_hausdorff(a: ArcSet, b: ArcSet) -> Fraction:
-    """sup over x in a of dist(x, b).
-
-    The sup is attained at an endpoint of a or at a gap midpoint of b lying
-    inside a (the local maxima of the distance-to-b function).
-    """
-    if b.is_full:
-        return Fraction(0)
-    best = Fraction(0)
+def _endpoint_table(a: ArcSet) -> list[tuple[int, int, int, int]]:
+    """(start numerator, start denominator, end numerator, end denominator)
+    per arc of a non-full set, end = start + length unreduced: sorted by
+    start, and only the last arc may end past 1."""
+    table = []
     for piece in a.arcs:
-        best = max(best, b.point_distance(piece.start), b.point_distance(piece.end))
-    for gap in complement_gaps(b):
-        mid = gap.midpoint
-        if a.contains(mid):
-            best = max(best, gap.length / 2)
-    return best
+        s, length = piece.start.value, piece.length
+        sn, sd = s.numerator, s.denominator
+        ln, ld = length.numerator, length.denominator
+        table.append((sn, sd, sn * ld + ln * sd, sd * ld))
+    return table
+
+
+def _sup_distance(
+    src: list[tuple[int, int, int, int]] | None,
+    dst: list[tuple[int, int, int, int]],
+) -> tuple[int, int]:
+    """sup over x in src of the distance from x to dst, as an unreduced
+    (numerator, denominator) pair; src None is the full circle.
+
+    One merge sweep: the circle is cut at dst's first arc start c, a point of
+    dst, so splitting src there changes no distance, and dst's gaps become
+    the open intervals (end_i, start_{i+1}) of the window [c, c + 1].  On a
+    gap of midpoint M the distance to dst is the distance to the nearer gap
+    edge, so its sup over src is half the gap if src covers M, else that of
+    the covered point nearest M: the last src end before M or the first src
+    start after it.  Values are compared by cross-multiplication.
+    """
+    cn, cd = dst[0][0], dst[0][1]
+    wn = cn + cd  # the window ends at c + 1 = wn / cd
+    if src is None:
+        pieces = [(cn, cd, wn, cd)]
+    else:
+        # src rotated to the window: arcs starting before c move up by 1
+        lo = 0
+        while lo < len(src) and src[lo][0] * cd < cn * src[lo][1]:
+            lo += 1
+        pieces = src[lo:]
+        pieces.extend((sn + sd, sd, en + ed, ed) for sn, sd, en, ed in src[:lo])
+        sn, sd, en, ed = pieces[-1]
+        if en * cd > wn * ed:  # the arc straddling the cut: split it there
+            pieces[-1] = (sn, sd, wn, cd)
+            pieces.insert(0, (cn, cd, en - ed, ed))
+
+    best_n, best_d = 0, 1
+    count = len(pieces)
+    j = 0
+    last = len(dst) - 1
+    for i, (_, _, gn, gd) in enumerate(dst):
+        # the gap (g, h) after arc i
+        if i < last:
+            hn, hd = dst[i + 1][0], dst[i + 1][1]
+        else:
+            hn, hd = wn, cd
+        # pieces ending before g touch no later gap either
+        while j < count and pieces[j][2] * gd < gn * pieces[j][3]:
+            j += 1
+        mn, md = gn * hd + hn * gd, 2 * gd * hd  # the midpoint M
+        val_n, val_d = 0, 1
+        for k in range(j, count):
+            sn, sd, en, ed = pieces[k]
+            if sn * hd > hn * sd:
+                break  # starts past the gap
+            if sn * md <= mn * sd:
+                if en * md >= mn * ed:  # covers M
+                    val_n, val_d = hn * gd - gn * hd, md
+                    break
+                # ends before M; later pieces end later
+                val_n, val_d = en * gd - gn * ed, ed * gd
+            else:
+                # the first piece starting after M
+                rn, rd = hn * sd - sn * hd, hd * sd
+                if rn * val_d > val_n * rd:
+                    val_n, val_d = rn, rd
+                break
+        if val_n * best_d > best_n * val_d:
+            best_n, best_d = val_n, val_d
+    return best_n, best_d
 
 
 def hausdorff(a: ArcSet, b: ArcSet) -> Fraction:
     """Exact Hausdorff distance between two arc unions under circle_dist."""
-    return max(_directed_hausdorff(a, b), _directed_hausdorff(b, a))
+    if a.is_full:
+        return gap_radius(b)
+    if b.is_full:
+        return gap_radius(a)
+    ta, tb = _endpoint_table(a), _endpoint_table(b)
+    an, ad = _sup_distance(ta, tb)
+    bn, bd = _sup_distance(tb, ta)
+    if bn * ad > an * bd:
+        an, ad = bn, bd
+    return Fraction(an, ad)
 
 
 def gap_radius(a: ArcSet) -> Fraction:
     """Hausdorff distance to the full circle: half the largest gap length."""
-    gaps = complement_gaps(a)
-    if not gaps:
+    if a.is_full:
         return Fraction(0)
-    return max(g.length for g in gaps) / 2
+    num, den = _sup_distance(None, _endpoint_table(a))
+    return Fraction(num, den)
 
 
 def round_segments(
@@ -406,25 +465,50 @@ def round_segments(
 
     The one endpoint rule: lo is rounded, lengths 0 and 1 are kept exact,
     and hi is rounded, then clamped to lo so rounding never inverts a
-    segment.
+    segment.  Each endpoint rounds as Fraction.limit_denominator would.
     """
     if max_denominator is None:
         yield from raw
         return
+    if max_denominator < 1:
+        raise ValueError("max_denominator should be at least 1")
     for lo, hi in raw:
-        length = hi - lo
-        if lo.denominator > max_denominator:
-            lo = lo.limit_denominator(max_denominator)
-        if length == 0:
+        ln, ld = lo.numerator, lo.denominator
+        hn, hd = hi.numerator, hi.denominator
+        if ld > max_denominator:
+            lo = _limit_denominator(ln, ld, max_denominator)
+        if hd == ld and hn == ln:
             hi = lo
-        elif length == 1:
+        elif hd == ld and hn == ln + ld:
             hi = lo + 1
         else:
-            if hi.denominator > max_denominator:
-                hi = hi.limit_denominator(max_denominator)
+            if hd > max_denominator:
+                hi = _limit_denominator(hn, hd, max_denominator)
             if hi < lo:
                 hi = lo
         yield lo, hi
+
+
+def _limit_denominator(n: int, d: int, max_denominator: int) -> Fraction:
+    """Fraction(n, d).limit_denominator(max_denominator) for reduced n/d
+    with d > max_denominator, on ints: the closer of the best lower and
+    upper approximations from the continued fraction of n/d, the convergent
+    p1/q1 on a tie."""
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    num, den = n, d
+    while True:
+        a = num // den
+        q2 = q0 + a * q1
+        if q2 > max_denominator:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
+        num, den = den, num - a * den
+    k = (max_denominator - q0) // q1
+    p2, q2 = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - n/d| <= |p2/q2 - n/d|, both sides times d q1 q2
+    if abs(p1 * d - n * q1) * q2 <= abs(p2 * d - n * q2) * q1:
+        return Fraction(p1, q1)
+    return Fraction(p2, q2)
 
 
 def round_arcset(

@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence
 
 from .circle import (
@@ -81,6 +82,7 @@ class PLHomeo:
             object.__setattr__(self, "_ys", ys)
             object.__setattr__(self, "_slopes", slopes)
             object.__setattr__(self, "_xs_float", [float(v) for v in xs])
+            object.__setattr__(self, "_pieces", _piece_table(xs, ys, slopes))
 
     # -- construction helpers ------------------------------------------------
 
@@ -115,33 +117,40 @@ class PLHomeo:
     def lift(self, x: Fraction) -> Fraction:
         """The canonical lift (the one sending [x_0, x_0+1) into
         [y_0, y_0+1)), evaluated at any rational."""
+        num, den = self._lift_ints(x.numerator, x.denominator)
+        return Fraction(num, den)
+
+    def _lift_ints(self, p: int, q: int) -> tuple[int, int]:
+        """lift(p/q) as an unreduced (numerator, denominator) pair, q > 0."""
         if not self.breakpoints:
-            return x + self.offset
-        xs: list[Fraction] = self._xs  # type: ignore[attr-defined]
-        ys: list[Fraction] = self._ys  # type: ignore[attr-defined]
-        slopes: list[Fraction] = self._slopes  # type: ignore[attr-defined]
-        n = x.__floor__()
-        t = x - n
-        if t < xs[0]:
-            t += 1
+            on, od = self.offset.numerator, self.offset.denominator
+            return p * od + on * q, q * od
+        pieces = self._pieces  # type: ignore[attr-defined]
+        n = p // q
+        r = p - n * q  # t = r/q in [0, 1)
+        x0 = pieces[0]
+        if r * x0[1] < x0[0] * q:
+            r += q
             n -= 1
-        # Float bisect as a hint, exact comparisons to fix the segment index.
-        j = bisect_right(self._xs_float, float(t)) - 1  # type: ignore[attr-defined]
-        last = len(slopes) - 1
+        # Float bisect as a hint, exact comparisons to fix the piece index.
+        j = bisect_right(self._xs_float, r / q) - 1  # type: ignore[attr-defined]
+        last = len(pieces) - 1
         if j < 0:
             j = 0
         elif j > last:
             j = last
-        while j < last and t >= xs[j + 1]:
+        while j < last and r * pieces[j + 1][1] >= pieces[j + 1][0] * q:
             j += 1
-        while j > 0 and t < xs[j]:
+        while j > 0 and r * pieces[j][1] < pieces[j][0] * q:
             j -= 1
-        if slopes[j] == 1:
-            return ys[j] + (t - xs[j]) + n
-        return ys[j] + slopes[j] * (t - xs[j]) + n
+        _, _, a, c, d = pieces[j]
+        # a/d * t + c/d + n
+        return a * r + (c + n * d) * q, d * q
 
     def __call__(self, p: CirclePoint) -> CirclePoint:
-        return CirclePoint(self.lift(p.value))
+        v = p.value
+        num, den = self._lift_ints(v.numerator, v.denominator)
+        return CirclePoint(Fraction(num % den, den))
 
     # -- algebra -------------------------------------------------------------
 
@@ -168,12 +177,17 @@ class PLHomeo:
 
     def image_segment(self, a: Arc) -> tuple[Fraction, Fraction]:
         """Lift-line (start, end) of the image of a closed arc."""
-        lo = self.lift(a.start.value)
-        if a.length == 0:
+        s, length = a.start.value, a.length
+        p, q = s.numerator, s.denominator
+        num, den = self._lift_ints(p, q)
+        lo = Fraction(num, den)
+        if length == 0:
             return (lo, lo)
-        if a.length == 1:
+        if length == 1:
             return (lo, lo + 1)
-        return (lo, self.lift(a.start.value + a.length))
+        ln, ld = length.numerator, length.denominator
+        num, den = self._lift_ints(p * ld + ln * q, q * ld)
+        return (lo, Fraction(num, den))
 
     def image_arc(self, a: Arc) -> Arc:
         """Image of a closed arc (an arc again, by orientation preservation)."""
@@ -288,6 +302,24 @@ def _lift_table(
                 "breakpoints do not preserve cyclic order (not a homeomorphism)"
             )
     return xs, ys
+
+
+def _piece_table(
+    xs: Sequence[Fraction], ys: Sequence[Fraction], slopes: Sequence[Fraction]
+) -> list[tuple[int, ...]]:
+    """Integer form of the lift: per linear piece j, (x_j numerator, x_j
+    denominator, a, c, d) with lift(t) = (a t + c) / d on [x_j, x_{j+1}),
+    that is slope a/d and intercept c/d over one denominator."""
+    table = []
+    for j, slope in enumerate(slopes):
+        sn, sd = slope.numerator, slope.denominator
+        xn, xd = xs[j].numerator, xs[j].denominator
+        yn, yd = ys[j].numerator, ys[j].denominator
+        # slope sn/sd and intercept y_j - slope x_j over one denominator
+        a, c, d = sn * yd * xd, yn * sd * xd - sn * xn * yd, yd * sd * xd
+        g = gcd(a, c, d)
+        table.append((xn, xd, a // g, c // g, d // g))
+    return table
 
 
 @dataclass(frozen=True)

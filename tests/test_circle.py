@@ -3,7 +3,7 @@ from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hutch.circle import (
@@ -21,6 +21,7 @@ from hutch.circle import (
     is_subset,
     normalize,
     point_set,
+    round_segments,
     union,
 )
 from hutch.ifs import PrecisionPolicy
@@ -244,6 +245,67 @@ def test_hausdorff_grid_oracle_sampled():
         assert abs(hausdorff(a, b) - brute_hausdorff(a, b)) <= F(1, GRID)
 
 
+def exact_point_distance(p: CirclePoint, b: ArcSet) -> Fraction:
+    """0 if b contains p, else the distance to the nearest b arc endpoint."""
+    if any(piece.contains(p) for piece in b.arcs):
+        return F(0)
+    return min(
+        min(circle_dist(p, piece.start), circle_dist(p, piece.end))
+        for piece in b.arcs
+    )
+
+
+def exact_directed_hausdorff(a: ArcSet, b: ArcSet) -> Fraction:
+    """Brute-force sup over a of the distance to b: the max over a's arc
+    endpoints and over the midpoints of b's gaps that lie in a."""
+    candidates = [p for piece in a.arcs for p in (piece.start, piece.end)]
+    if not b.is_full:
+        for i, piece in enumerate(b.arcs):
+            after = b.arcs[(i + 1) % len(b.arcs)].start
+            gap = (after.value - piece.end.value) % 1 or F(1)
+            mid = piece.end + gap / 2
+            if any(q.contains(mid) for q in a.arcs):
+                candidates.append(mid)
+    return max(exact_point_distance(p, b) for p in candidates)
+
+
+@st.composite
+def arcsets(draw, denominator):
+    """Unions of up to 5 arcs on the grid 1/denominator: zero-length,
+    touching (shared grid points), wrapping past 0 and full-circle arcs."""
+    pieces = []
+    for _ in range(draw(st.integers(1, 5))):
+        start = draw(st.integers(0, denominator - 1))
+        length = draw(
+            st.one_of(
+                st.just(0),
+                st.just(denominator),
+                st.integers(0, max(1, denominator // 8)),
+                st.integers(0, denominator),
+            )
+        )
+        pieces.append(Arc(CirclePoint(F(start, denominator)), F(length, denominator)))
+    return normalize(pieces)
+
+
+@st.composite
+def arcset_pairs(draw):
+    """Two sets on one grid (so arcs of a and b often touch), or on two."""
+    d1 = draw(st.one_of(st.sampled_from([1, 2, 3, 8, 12]), st.integers(1, 10**6)))
+    d2 = draw(st.one_of(st.just(d1), st.integers(1, 10**6)))
+    return draw(arcsets(d1)), draw(arcsets(d2))
+
+
+@settings(max_examples=300)
+@given(arcset_pairs())
+def test_hausdorff_and_gap_radius_match_exact_oracle(pair):
+    a, b = pair
+    assert hausdorff(a, b) == max(
+        exact_directed_hausdorff(a, b), exact_directed_hausdorff(b, a)
+    )
+    assert gap_radius(a) == exact_directed_hausdorff(full_circle(), a)
+
+
 # -- gap_radius ------------------------------------------------------------------
 
 
@@ -313,6 +375,34 @@ def test_limit_denominators_preserves_degenerate_lengths():
     out = limit_denominators(pts, 4)
     assert out.arcs[0].length == 0
     assert limit_denominators(full_circle(), 4).is_full
+
+
+@given(
+    st.fractions(min_value=-3, max_value=3),
+    st.integers(-10**12, 10**12),
+    st.integers(1, 10**12),
+    st.integers(1, 2**16),
+)
+def test_round_segments_matches_limit_denominator(x, num, den, max_denominator):
+    # x is mostly small; num/den reaches denominators far above the limit
+    for lo in (x, F(num, den)):
+        hi = lo + F(1, 3)
+        out_lo, out_hi = next(round_segments([(lo, hi)], max_denominator))
+        assert out_lo == lo.limit_denominator(max_denominator)
+        assert out_hi == max(out_lo, hi.limit_denominator(max_denominator))
+
+
+@pytest.mark.parametrize(
+    "value, max_denominator, expected",
+    [(F(1, 2), 1, F(0)), (F(-1, 4), 2, F(0)), (F(-3, 4), 2, F(-1))],
+)
+def test_round_segments_tie_rule(value, max_denominator, expected):
+    # equidistant from both bounds: the convergent is taken, as in the stdlib
+    assert value.limit_denominator(max_denominator) == expected
+    assert next(round_segments([(value, value)], max_denominator)) == (
+        expected,
+        expected,
+    )
 
 
 # -- serialization -----------------------------------------------------------------

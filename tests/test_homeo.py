@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -130,6 +131,43 @@ def test_lift_degree_one(theorem2, theorem1):
         for _ in range(16):
             x = F(rng.randrange(2**10), 2**10)
             assert g.lift(x + 1) == g.lift(x) + 1
+
+
+def piecewise_lift(g: PLHomeo, x: F) -> F:
+    """Reference lift in Fraction arithmetic: ys[j] + slope_j (t - xs[j]) + n
+    on the piece [xs[j], xs[j+1]) holding t = x - n."""
+    if g.is_rotation:
+        return x + g.offset
+    xs = [p.value for p, _ in g.breakpoints]
+    y0 = g.breakpoints[0][1].value
+    ys = [y0] + [q.value if q.value > y0 else q.value + 1 for _, q in g.breakpoints[1:]]
+    xs.append(xs[0] + 1)
+    ys.append(y0 + 1)
+    n = math.floor(x)
+    t = x - n
+    if t < xs[0]:
+        t, n = t + 1, n - 1
+    j = max(i for i in range(len(xs) - 1) if xs[i] <= t)
+    slope = (ys[j + 1] - ys[j]) / (xs[j + 1] - xs[j])
+    return ys[j] + slope * (t - xs[j]) + n
+
+
+def test_lift_matches_piecewise_formula(theorem2, theorem1):
+    rng = random.Random(43)
+    gens = generators(theorem2, theorem1) + list(theorem1.backward.generators)
+    # 10**-20 is below float resolution, so the float bisect hint is off
+    tiny = (F(0), F(1, 10**9), F(-1, 10**9), F(1, 10**20), F(-1, 10**20))
+    for g in gens:
+        points = [p.value for p, _ in g.breakpoints]
+        points += [F(rng.randrange(10**6), 10**6) for _ in range(8)]
+        for p in points:
+            for shift in (-3, -1, 0, 1, 5):
+                for eps in tiny:
+                    x = p + shift + eps
+                    assert g.lift(x) == piecewise_lift(g, x)
+            for length in (F(0), F(1), F(1, 10**6), F(rng.randrange(1, 997), 997)):
+                a = Arc(CirclePoint(p), length)
+                assert g.image_segment(a) == (g.lift(p), g.lift(p + length))
 
 
 # -- image_arc ----------------------------------------------------------------------
