@@ -10,6 +10,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Iterator, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
@@ -106,6 +107,7 @@ def arc(start: RationalLike, length: RationalLike) -> Arc:
 
 
 FULL_LENGTH = Fraction(1)
+_start_value = attrgetter("start.value")
 
 
 @dataclass(frozen=True)
@@ -139,38 +141,6 @@ class ArcSet:
             raise ValueError("arcs must have disjoint closures (wraparound)")
 
     @property
-    def _starts(self) -> list[Fraction]:
-        cached = self.__dict__.get("_starts_cache")
-        if cached is None:
-            cached = [a.start.value for a in self.arcs]
-            object.__setattr__(self, "_starts_cache", cached)
-        return cached
-
-    @property
-    def _starts_float(self) -> list[float]:
-        cached = self.__dict__.get("_starts_float_cache")
-        if cached is None:
-            cached = [float(v) for v in self._starts]
-            object.__setattr__(self, "_starts_float_cache", cached)
-        return cached
-
-    def _gap_index(self, p: CirclePoint) -> int:
-        """Index i such that p lies in arcs[i] or in the gap after it,
-        exactly (float bisect is only a hint)."""
-        starts = self._starts
-        n = len(starts)
-        if p.value < starts[0]:
-            return n - 1  # before the first start: cyclically after the last arc
-        i = bisect_right(self._starts_float, float(p.value)) - 1
-        if i < 0:
-            i = 0
-        while i + 1 < n and p.value >= starts[i + 1]:
-            i += 1
-        while i > 0 and p.value < starts[i]:
-            i -= 1
-        return i
-
-    @property
     def is_full(self) -> bool:
         return self.arcs[0].length == 1
 
@@ -179,20 +149,12 @@ class ArcSet:
         return sum((a.length for a in self.arcs), Fraction(0))
 
     def contains(self, p: CirclePoint) -> bool:
-        return self._locate(p) is not None
+        # The last arc starting at or before p; index -1 wraps to the last
+        # arc, which is where a point before the first start lies.
+        arcs = self.arcs
+        return arcs[bisect_right(arcs, p.value, key=_start_value) - 1].contains(p)
 
     __contains__ = contains
-
-    def _locate(self, p: CirclePoint) -> Arc | None:
-        """The unique arc containing p, or None."""
-        arcs = self.arcs
-        if arcs[0].length == 1:
-            return arcs[0]
-        i = self._gap_index(p)
-        candidate = arcs[i]
-        if candidate.contains(p):
-            return candidate
-        return None
 
     def __repr__(self) -> str:
         return f"ArcSet({list(self.arcs)!r})"
@@ -255,26 +217,15 @@ def _normalize_segments_flagged(
 
     filled = False
     merged: list[list[Fraction]] = [list(segments[0])]
-    if fill_eta is None:
-        for lo, hi in segments[1:]:
-            tail = merged[-1]
-            if lo <= tail[1]:
-                if hi > tail[1]:
-                    tail[1] = hi
-            else:
+    for lo, hi in segments[1:]:
+        tail = merged[-1]
+        if lo > tail[1]:
+            if fill_eta is None or lo - tail[1] >= fill_eta:
                 merged.append([lo, hi])
-    else:
-        for lo, hi in segments[1:]:
-            tail = merged[-1]
-            if lo <= tail[1]:
-                if hi > tail[1]:
-                    tail[1] = hi
-            elif lo - tail[1] < fill_eta:
-                filled = True
-                if hi > tail[1]:
-                    tail[1] = hi
-            else:
-                merged.append([lo, hi])
+                continue
+            filled = True
+        if hi > tail[1]:
+            tail[1] = hi
 
     if len(merged) == 1 and merged[0][0] == 0 and merged[0][1] == 1:
         return full_circle(), filled
@@ -339,20 +290,12 @@ def complement_gaps(a: ArcSet) -> tuple[Arc, ...]:
 
 
 def is_subset(a: ArcSet, b: ArcSet) -> bool:
-    """True iff every arc of a is covered by b (connected arcs must land in
-    one component of b)."""
+    """True iff a is contained in b: the sup over a of the distance to b
+    (the sweep behind hausdorff) is zero, b being closed."""
     if b.is_full:
         return True
-    if a.is_full:
-        return False
-    for piece in a.arcs:
-        host = b._locate(piece.start)
-        if host is None:
-            return False
-        offset = (piece.start.value - host.start.value) % 1
-        if offset + piece.length > host.length:
-            return False
-    return True
+    src = None if a.is_full else _endpoint_table(a)
+    return _sup_distance(src, _endpoint_table(b))[0] == 0
 
 
 def _endpoint_table(a: ArcSet) -> list[tuple[int, int, int, int]]:

@@ -101,6 +101,8 @@ def _points_field(obj: dict, key: str, default_count: int, context: str) -> list
             raise ConfigError(f"field '{context}{key}': need at least one point")
         return _stratified(value)
     if isinstance(value, list):
+        if not value:
+            raise ConfigError(f"field '{context}{key}': need at least one point")
         try:
             return [CirclePoint(frac(v)) for v in value]
         except (ValueError, TypeError) as exc:
@@ -133,19 +135,16 @@ class ExperimentConfig:
         }
 
 
+# Probes run when a builtin config lists none; unlisted fields take
+# _resolve_probe's defaults.
 DEFAULT_PROBES = {
     "theorem2": [
-        {"probe": "attractor", "direction": "forward", "start": "1/3",
-         "budget": 64, "tol": "1/256"},
-        {"probe": "minimality", "direction": "forward", "start": "1/3",
-         "depth": 12, "epsilon": "1/64"},
+        {"probe": "attractor", "start": "1/3"},
+        {"probe": "minimality", "start": "1/3"},
     ],
     "theorem1": [
-        {"probe": "sensitivity", "direction": "backward",
-         "lengths": ["1/64"], "centers": 16, "truncation": 64},
-        {"probe": "equicontinuity", "direction": "forward", "base_points": 8,
-         "deltas": ["1/16", "1/64", "1/256", "1/1024"],
-         "truncation": 32, "samples_per_delta": 4},
+        {"probe": "sensitivity", "direction": "backward"},
+        {"probe": "equicontinuity"},
     ],
 }
 
@@ -430,14 +429,18 @@ class ResolvedSystem:
 
 def resolve_system(config: ExperimentConfig) -> ResolvedSystem:
     source = config.system_source
-    if source == "theorem2":
-        forward = theorem2_ifs(frac(config.system_params["alpha"]))
-        return ResolvedSystem(forward, inverse_system(forward))
-    if source == "theorem1":
-        bundle = build_theorem1(Theorem1Params.from_obj(config.system_params))
-        return ResolvedSystem(
-            bundle.forward, bundle.backward, bundle.approximants[0].k_set
-        )
+    # The builders own the parameter rules; a rejection is a config error.
+    try:
+        if source == "theorem2":
+            forward = theorem2_ifs(frac(config.system_params["alpha"]))
+            return ResolvedSystem(forward, inverse_system(forward))
+        if source == "theorem1":
+            bundle = build_theorem1(Theorem1Params.from_obj(config.system_params))
+            return ResolvedSystem(
+                bundle.forward, bundle.backward, bundle.approximants[0].k_set
+            )
+    except (ValueError, KeyError) as exc:
+        raise ConfigError(f"field 'system_params': {exc}") from None
     path = Path(source["path"])
     try:
         obj = json.loads(path.read_text())
@@ -849,9 +852,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             spec = {"probe": args.kind, "direction": args.direction}
             if args.params:
                 try:
-                    spec.update(json.loads(args.params))
+                    params = json.loads(args.params)
                 except json.JSONDecodeError as exc:
                     raise ConfigError(f"field '--params': invalid JSON: {exc}")
+                if not isinstance(params, dict):
+                    raise ConfigError("field '--params': expected JSON object")
+                spec.update(params)
             if args.start is not None:
                 spec["start"] = args.start
             config = _load_config(args, extra_probes=[spec])

@@ -77,16 +77,6 @@ class DiagonalReport:
     covered: bool
     fixed_sets: tuple[ArcSet | None, ...]
 
-    def to_obj(self) -> dict:
-        from .circle import arcset_to_obj
-
-        return {
-            "covered": self.covered,
-            "fixed_sets": [
-                None if s is None else arcset_to_obj(s) for s in self.fixed_sets
-            ],
-        }
-
 
 def diagonal_containment_check(system: IFS) -> DiagonalReport:
     """True iff every circle point is fixed by some generator.
@@ -132,17 +122,6 @@ class DenjoyApproximant:
             if n == index:
                 return a
         raise KeyError(f"no gap with orbit index {index}")
-
-    def to_obj(self) -> dict:
-        from .circle import rational_str
-
-        return {
-            "alpha": rational_str(self.alpha),
-            "lambda": rational_str(self.gap_ratio),
-            "s": rational_str(self.gap_mass),
-            "stage": self.stage,
-            "base_point": rational_str(self.base_point.value),
-        }
 
 
 def denjoy_approximant(
@@ -232,15 +211,6 @@ class BlowupMap:
     gap_index: int
     sigma: Fraction
     support: Arc  # h is the identity outside this closed arc
-
-    def to_obj(self) -> dict:
-        from .circle import rational_str
-
-        return {
-            "fixed_point": rational_str(self.fixed_point.value),
-            "gap_index": self.gap_index,
-            "sigma": rational_str(self.sigma),
-        }
 
 
 def blowup_map(

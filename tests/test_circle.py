@@ -306,6 +306,32 @@ def test_hausdorff_and_gap_radius_match_exact_oracle(pair):
     assert gap_radius(a) == exact_directed_hausdorff(full_circle(), a)
 
 
+def arc_fits(q: Arc, r: Arc) -> bool:
+    """q lies inside the closed arc r, from the Arc fields alone."""
+    if r.length == 1:
+        return True
+    if q.length == 1:
+        return False
+    return (q.start.value - r.start.value) % 1 + q.length <= r.length
+
+
+@settings(max_examples=300)
+@given(arcset_pairs())
+def test_subset_and_contains_match_arc_oracle(pair):
+    a, b = pair
+    # a connected arc inside b lies in one of b's disjoint closed arcs
+    assert is_subset(a, b) == all(any(arc_fits(q, r) for r in b.arcs) for q in a.arcs)
+    eps = F(1, 10**7)
+    first = b.arcs[0].start
+    points = [first - eps, CirclePoint(first.value / 2)]
+    for piece in a.arcs + b.arcs:
+        for p in (piece.start, piece.end):
+            points += [p, p - eps, p + eps]
+        points.append(piece.midpoint)
+    for p in points:
+        assert b.contains(p) == any(q.contains(p) for q in b.arcs)
+
+
 # -- gap_radius ------------------------------------------------------------------
 
 

@@ -55,6 +55,23 @@ def test_unknown_system_rejected():
         parse_config({"system": "theorem9"})
 
 
+def test_default_probes_resolved():
+    assert parse_config({"system": "theorem1"}).probes == (
+        {"probe": "sensitivity", "direction": "backward", "lengths": ["1/64"],
+         "centers": [str(F(k, 16)) for k in range(16)], "truncation": 64},
+        {"probe": "equicontinuity", "direction": "forward",
+         "deltas": ["1/16", "1/64", "1/256", "1/1024"],
+         "base_points": [str(F(k, 8)) for k in range(8)],
+         "truncation": 32, "samples_per_delta": 4},
+    )
+    assert parse_config({"system": "theorem2"}).probes == (
+        {"probe": "attractor", "direction": "forward", "start": "1/3",
+         "budget": 64, "tol": "1/256"},
+        {"probe": "minimality", "direction": "forward", "start": "1/3",
+         "depth": 12, "epsilon": "1/64"},
+    )
+
+
 def test_unknown_probe_rejected():
     with pytest.raises(ConfigError, match="probes\\[0\\].probe"):
         parse_config({"system": "theorem2", "probes": [{"probe": "entropy"}]})
@@ -94,6 +111,34 @@ def test_unknown_probe_rejected():
             "probes[0].lengths",
             id="length-above-one",
         ),
+        *(
+            pytest.param(
+                {"system": system, "system_params": params, "probes": []},
+                [],
+                "'system_params'",
+                id=case,
+            )
+            for system, params, case in [
+                ("theorem1", {"alpha": "1/2"}, "theorem1-alpha-small-denominator"),
+                ("theorem1", {"stage": 0}, "theorem1-stage-zero"),
+                ("theorem1", {"generators": 0}, "theorem1-no-generators"),
+                ("theorem1", {"gap_index": 99}, "theorem1-gap-index-out-of-range"),
+                ("theorem2", {"alpha": "3/2"}, "theorem2-alpha-above-one"),
+            ]
+        ),
+        pytest.param(
+            {"system": "theorem1", "probes": [{"probe": "sensitivity", "centers": []}]},
+            [],
+            "probes[0].centers",
+            id="empty-centers",
+        ),
+        pytest.param(
+            {"system": "theorem1",
+             "probes": [{"probe": "equicontinuity", "base_points": []}]},
+            [],
+            "probes[0].base_points",
+            id="empty-base-points",
+        ),
     ],
 )
 def test_cli_exit_code_on_malformed_config(tmp_path, capsys, config, flags, field):
@@ -102,6 +147,15 @@ def test_cli_exit_code_on_malformed_config(tmp_path, capsys, config, flags, fiel
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")] + flags)
     assert code == EXIT_CONFIG
     assert field in capsys.readouterr().err
+
+
+def test_cli_probe_params_must_be_object(tmp_path, capsys):
+    code = main(
+        ["probe", "covering", "--system", "theorem2", "--params", "[1]",
+         "--out", str(tmp_path)]
+    )
+    assert code == EXIT_CONFIG
+    assert "'--params'" in capsys.readouterr().err
 
 
 def test_cli_exit_code_on_resource_cap(tmp_path, capsys):
