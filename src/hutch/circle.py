@@ -179,6 +179,18 @@ def _trusted_arcset(arcs: tuple[Arc, ...]) -> ArcSet:
     return out
 
 
+def _trusted_arc(start: Fraction, length: Fraction) -> Arc:
+    """Build Arc(CirclePoint(start), length) for 0 <= start < 1 and
+    0 <= length <= 1, skipping their checks.  Internal, as above.  Set as
+    __init__ does: writing to __dict__ would give each object a full dict."""
+    point = object.__new__(CirclePoint)
+    object.__setattr__(point, "value", start)
+    out = object.__new__(Arc)
+    object.__setattr__(out, "start", point)
+    object.__setattr__(out, "length", length)
+    return out
+
+
 def normalize_segments(
     raw: Iterable[tuple[Fraction, Fraction]],
     fill_eta: Fraction | None = None,
@@ -198,58 +210,66 @@ def _normalize_segments_flagged(
 ) -> tuple[ArcSet, bool]:
     """normalize_segments plus a flag: True iff gap-filling (coarsening)
     actually changed the result."""
-    # Unroll to closed segments [lo, hi] inside [0, 1], splitting wraparounds.
-    segments: list[tuple[Fraction, Fraction]] = []
+    # Unroll to closed segments [lo, hi] inside [0, 1], splitting wraparounds,
+    # as reduced int pairs; values compare by cross-multiplication.
+    segments: list[tuple[int, int, int, int]] = []
+    dmax = 1
     for lo, hi in raw:
-        if hi - lo >= 1:
+        ln, ld = lo.numerator, lo.denominator
+        hn, hd = hi.numerator, hi.denominator
+        if hn * ld - ln * hd >= ld * hd:  # length >= 1
             return full_circle(), False
-        if not 0 <= lo.numerator < lo.denominator:
-            shift = lo.__floor__()
-            lo, hi = lo - shift, hi - shift
-        if hi <= 1:
-            segments.append((lo, hi))
+        if not 0 <= ln < ld:
+            shift = ln // ld
+            ln, hn = ln - shift * ld, hn - shift * hd
+        if ld > dmax:
+            dmax = ld
+        if hn <= hd:
+            segments.append((ln, ld, hn, hd))
         else:
-            segments.append((lo, Fraction(1)))
-            segments.append((Fraction(0), hi - 1))
+            segments.append((ln, ld, 1, 1))
+            segments.append((0, 1, hn - hd, hd))
     if not segments:
         raise ValueError("empty set not in hyperspace")
-    segments.sort(key=_segment_sort_key)
+    # An exact integer sort key: distinct starts with denominators <= dmax
+    # differ by more than 2**-k, so their floors at scale 2**k differ too.
+    k = 2 * dmax.bit_length()
+    segments.sort(key=lambda seg: (seg[0] << k) // seg[1])
 
+    # Gaps shorter than en / ed are filled; None fills none, as 0 does.
+    en, ed = (0, 1) if fill_eta is None else (fill_eta.numerator, fill_eta.denominator)
     filled = False
-    merged: list[list[Fraction]] = [list(segments[0])]
-    for lo, hi in segments[1:]:
-        tail = merged[-1]
-        if lo > tail[1]:
-            if fill_eta is None or lo - tail[1] >= fill_eta:
-                merged.append([lo, hi])
+    merged: list[tuple[int, int, int, int]] = []
+    sn, sd, tn, td = segments[0]  # the arc being merged, [s, t]
+    for ln, ld, hn, hd in segments:
+        gap = ln * td - tn * ld
+        if gap > 0:
+            if gap * ed >= en * ld * td:
+                merged.append((sn, sd, tn, td))
+                sn, sd, tn, td = ln, ld, hn, hd
                 continue
             filled = True
-        if hi > tail[1]:
-            tail[1] = hi
+        if hn * td > tn * hd:
+            tn, td = hn, hd
 
-    if len(merged) == 1 and merged[0][0] == 0 and merged[0][1] == 1:
-        return full_circle(), filled
     # Closed arcs meeting (or within the fill slack) across the point 0
-    # merge into a single wrapped arc.
-    if len(merged) > 1:
-        wrap_gap = merged[0][0] + 1 - merged[-1][1]
-        if wrap_gap <= 0 or (fill_eta is not None and wrap_gap < fill_eta):
-            if wrap_gap > 0:
-                filled = True
-            first = merged.pop(0)
-            merged[-1][1] = 1 + first[1]
-    elif fill_eta is not None and merged[0][0] + 1 - merged[0][1] < fill_eta:
-        return full_circle(), True
+    # merge into a single wrapped arc; a lone arc meeting itself there is
+    # the full circle.
+    fn, fd, gn, gd = merged[0] if merged else (sn, sd, tn, td)
+    wrap = (fn + fd) * td - tn * fd  # first start + 1 - last end, over fd td
+    if wrap <= 0 or wrap * ed < en * fd * td:
+        filled = filled or wrap > 0
+        if not merged:
+            return full_circle(), filled
+        del merged[0]
+        tn, td = gn + gd, gd
+    merged.append((sn, sd, tn, td))
 
-    return (
-        _trusted_arcset(tuple(Arc(CirclePoint(lo), hi - lo) for lo, hi in merged)),
-        filled,
+    arcs = tuple(
+        _trusted_arc(Fraction(sn, sd), Fraction(tn * sd - sn * td, td * sd))
+        for sn, sd, tn, td in merged
     )
-
-
-def _segment_sort_key(seg: Sequence[Fraction]) -> tuple[float, Fraction]:
-    # Float first for speed; the exact value breaks float ties correctly.
-    return (float(seg[0]), seg[0])
+    return _trusted_arcset(arcs), filled
 
 
 def normalize(raw: Sequence[Arc]) -> ArcSet:

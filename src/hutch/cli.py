@@ -162,6 +162,8 @@ def parse_config(obj: dict, overrides: dict | None = None) -> ExperimentConfig:
     if isinstance(system, dict):
         if "path" not in system:
             raise ConfigError("field 'system.path': required for file-based systems")
+        if not isinstance(system["path"], str):
+            raise ConfigError("field 'system.path': expected a file path string")
     elif system not in ("theorem1", "theorem2"):
         raise ConfigError(
             f"field 'system': unknown builtin {system!r} (use theorem1, theorem2, or a path object)"
@@ -447,6 +449,8 @@ def resolve_system(config: ExperimentConfig) -> ResolvedSystem:
         forward = IFS.from_obj(obj)
     except FileNotFoundError:
         raise ConfigError(f"field 'system.path': no such file {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"field 'system.path': cannot read {path}: {exc.strerror}") from None
     except (ValueError, KeyError, TypeError) as exc:
         raise ConfigError(f"field 'system.path': cannot load IFS: {exc}") from None
     return ResolvedSystem(forward, inverse_system(forward))

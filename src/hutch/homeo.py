@@ -270,6 +270,8 @@ class PLHomeo:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "PLHomeo":
+        if not isinstance(obj, dict):
+            raise TypeError(f"a generator must be an object, got {obj!r}")
         pts = tuple(
             (CirclePoint(frac(x)), CirclePoint(frac(y)))
             for x, y in obj.get("breakpoints", [])

@@ -3,13 +3,14 @@ from bisect import bisect_left
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hutch.circle import (
     Arc,
     ArcSet,
     CirclePoint,
+    _normalize_segments_flagged,
     arc,
     arcset_from_obj,
     arcset_to_obj,
@@ -133,6 +134,74 @@ def test_normalize_idempotent_and_membership(raw_pairs):
     for _ in range(50):
         p = CirclePoint(F(rng.randrange(2**10), 2**10))
         assert out.contains(p) == any(a.contains(p) for a in raw)
+
+
+TINY = F(1, 10**30)
+
+
+@st.composite
+def lift_segments(draw):
+    """Lift-line segments (lo, hi) as the normaliser receives them: starts
+    shifted by -3..5, lengths 0, 1, above 1 and in between, denominators up
+    to 10^6 and near 2^80, some pairs of distinct starts 10^-30 apart, and
+    some starts at a fill threshold (or 0) past the previous end."""
+    denominators = st.one_of(
+        st.sampled_from([1, 2, 3, 2048, 4096]),
+        st.integers(1, 10**6),
+        st.integers(2**80 - 2**8, 2**80 + 2**8),
+    )
+    steps = st.sampled_from([F(0), F(1, 4096), F(1, 2048), F(1, 2)])
+    segments = []
+    for _ in range(draw(st.integers(1, 6))):
+        d = draw(denominators)
+        lo = F(draw(st.integers(0, d - 1)), d) + draw(st.integers(-3, 5))
+        if segments and draw(st.booleans()):
+            lo = segments[-1][1] + draw(steps)
+        kind = draw(st.integers(0, 15))
+        if kind < 3:
+            length = [F(0), F(1), 1 + F(draw(st.integers(1, d)), d)][kind]
+        elif kind < 9:
+            length = F(draw(st.integers(0, max(1, d // 8))), d)
+        else:
+            length = F(draw(st.integers(0, d)), d)
+        segments.append((lo, lo + length))
+        if draw(st.integers(0, 3)) == 0:
+            near = lo - TINY if draw(st.booleans()) else lo + TINY
+            segments.append((near, near + draw(st.sampled_from([F(0), length]))))
+    return segments
+
+
+def covered(segments, p: CirclePoint) -> bool:
+    """Some lift-line segment covers p mod 1."""
+    return any(hi - lo >= 1 or (p.value - lo) % 1 <= hi - lo for lo, hi in segments)
+
+
+@settings(max_examples=300)
+@given(lift_segments(), st.sampled_from([None, F(1, 2048), F(1, 2)]))
+@example([(F(1, 3), F(1, 3) + F(1, 100)), (F(1, 3) - TINY, F(1, 3) - TINY)], None)
+def test_normalizer_matches_segment_oracle(segments, eta):
+    plain, plain_flag = _normalize_segments_flagged(segments)
+    out, flag = _normalize_segments_flagged(iter(segments), eta)
+    for result in (plain, out):
+        # canonical, and every arc passes the checks its builder skipped
+        rebuilt = tuple(Arc(CirclePoint(a.start.value), a.length) for a in result.arcs)
+        assert ArcSet(rebuilt) == result
+        assert all(0 <= a.start.value < 1 for a in result.arcs)
+    assert not plain_flag
+    points = [CirclePoint(lo) for lo, _ in segments] + [CirclePoint(hi) for _, hi in segments]
+    points += [g.midpoint for g in complement_gaps(plain)]
+    eps = F(1, 10**40)
+    for p in list(points):
+        points += [p - eps, p + eps]
+    for p in points:
+        assert plain.contains(p) == covered(segments, p)
+    if eta is None:
+        assert (out, flag) == (plain, False)
+        return
+    # filling closes exactly the gaps shorter than eta, and the flag says so
+    kept = [g for g in complement_gaps(plain) if g.length >= eta]
+    assert complement_gaps(out) == tuple(kept)
+    assert flag == (out != plain)
 
 
 # -- union ----------------------------------------------------------------------

@@ -1,6 +1,8 @@
+import importlib.util
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +21,8 @@ from hutch.cli import (
 from conftest import random_point
 
 F = Fraction
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def small_theorem2_config(out_dir, probes=None):
@@ -139,9 +143,26 @@ def test_unknown_probe_rejected():
             "probes[0].base_points",
             id="empty-base-points",
         ),
+        *(
+            pytest.param(
+                {"system": {"path": path}, "probes": []}, [], "'system.path'", id=case
+            )
+            for path, case in [
+                ("generators-int.json", "ifs-generator-not-object"),
+                ("generators-str.json", "ifs-generators-string"),
+                (5, "path-not-string"),
+                (".", "path-is-directory"),
+            ]
+        ),
     ],
 )
-def test_cli_exit_code_on_malformed_config(tmp_path, capsys, config, flags, field):
+def test_cli_exit_code_on_malformed_config(
+    tmp_path, monkeypatch, capsys, config, flags, field
+):
+    # the IFS files the system.path cases name, relative to the run directory
+    monkeypatch.chdir(tmp_path)
+    for name, generators in [("generators-int.json", [1]), ("generators-str.json", "ab")]:
+        (tmp_path / name).write_text(json.dumps({"generators": generators}))
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")] + flags)
@@ -348,3 +369,17 @@ def test_cli_flag_overrides(tmp_path):
     params = bundle["reports"][0]["params"]
     assert params["budget"] == 8
     assert params["tol"] == "1/8"
+
+
+def test_theorem2_script_reproduces_committed_results(tmp_path):
+    # bundle.json and the CSVs are deterministic; timings.json is wall clock
+    path = ROOT / "scripts" / "run_theorem2.py"
+    spec = importlib.util.spec_from_file_location("run_theorem2", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    run(script.config(tmp_path))
+    committed = ROOT / "results" / "theorem2"
+    names = ["bundle.json"] + sorted(p.name for p in committed.glob("*.csv"))
+    assert len(names) == 5
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (committed / name).read_bytes(), name
