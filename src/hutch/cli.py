@@ -17,13 +17,13 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from . import __version__
 from .circle import (
-    Arc,
     ArcSet,
     CirclePoint,
+    arc,
     arcset_from_obj,
     arcset_to_obj,
     frac,
@@ -64,50 +64,101 @@ EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 
 
-def _cfg_rational(obj: dict, key: str, default=None, context: str = "") -> Fraction:
-    name = f"{context}{key}"
-    if key not in obj:
-        if default is None:
-            raise ConfigError(f"field '{name}': required exact rational missing")
-        return frac(default)
-    try:
-        return frac(obj[key])
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(f"field '{name}': {exc}") from None
+# -- config fields -------------------------------------------------------------
+# A field parser maps a raw JSON value to its canonical form in the resolved
+# config, raising one of the errors _parse catches for a malformed value;
+# _parse names the field in the ConfigError.
 
 
-def _cfg_int(obj: dict, key: str, default=None, context: str = "") -> int:
-    name = f"{context}{key}"
-    if key not in obj:
-        if default is None:
-            raise ConfigError(f"field '{name}': required integer missing")
-        return int(default)
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"field '{name}': expected integer, got {value!r}")
+def _integer(floor: int | None = None):
+    def parse(value) -> int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"expected integer, got {value!r}")
+        if floor is not None and value < floor:
+            raise ValueError(f"must be >= {floor}, got {value}")
+        return value
+
+    return parse
+
+
+def _rational(value) -> str:
+    return rational_str(frac(value))
+
+
+def _positive(value) -> str:
+    x = frac(value)
+    if x <= 0:
+        raise ValueError(f"must be positive, got {x}")
+    return rational_str(x)
+
+
+def _arc_length(value) -> str:
+    x = frac(value)
+    if not 0 < x <= 1:
+        raise ValueError(f"must lie in (0, 1], got {x}")
+    return rational_str(x)
+
+
+def _list(item):
+    def parse(value) -> list:
+        if not isinstance(value, list) or not value:
+            raise ValueError("expected non-empty list")
+        return [item(v) for v in value]
+
+    return parse
+
+
+def _deltas(value) -> list[str]:
+    out = _list(_positive)(value)
+    d = [frac(v) for v in out]
+    if d[0] > Fraction(1, 2) or any(a <= b for a, b in zip(d, d[1:])):
+        raise ValueError("must decrease strictly from at most 1/2")
+    return out
+
+
+def _points(value) -> list[str]:
+    """Either an integer (that many stratified points k/n) or a list of
+    exact rationals, each reduced into [0, 1)."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        value = [Fraction(k, value) for k in range(value)]
+    if not isinstance(value, list):
+        raise ValueError("expected count or list of rationals")
+    if not value:
+        raise ValueError("need at least one point")
+    return [rational_str(CirclePoint(frac(v)).value) for v in value]
+
+
+def _direction(value) -> str:
+    if value not in ("forward", "backward"):
+        raise ValueError("expected forward or backward")
     return value
 
 
-def _stratified(count: int) -> list[CirclePoint]:
-    return [CirclePoint(Fraction(k, count)) for k in range(count)]
+def _arcset(value) -> list[dict]:
+    return arcset_to_obj(arcset_from_obj(value))
 
 
-def _points_field(obj: dict, key: str, default_count: int, context: str) -> list[CirclePoint]:
-    """Either an integer (that many stratified points k/n) or a list of
-    exact rationals."""
-    value = obj.get(key, default_count)
-    if isinstance(value, int) and not isinstance(value, bool):
-        if value < 1:
-            raise ConfigError(f"field '{context}{key}': need at least one point")
-        return _stratified(value)
-    if isinstance(value, list):
-        if not value:
-            raise ConfigError(f"field '{context}{key}': need at least one point")
-        try:
-            return [CirclePoint(frac(v)) for v in value]
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"field '{context}{key}': {exc}") from None
-    raise ConfigError(f"field '{context}{key}': expected count or list of rationals")
+def _parse(parse, value, name: str):
+    try:
+        return parse(value)
+    except (ValueError, TypeError, KeyError, ZeroDivisionError) as exc:
+        raise ConfigError(f"field '{name}': {exc}") from None
+
+
+def _fields(table: dict, obj: dict, ctx: str) -> dict:
+    """Resolve obj against table, which maps each field name to (parser,
+    default); a field whose default is None is optional and omitted when
+    absent.  Keys the table does not name are rejected."""
+    for key in obj:
+        if key not in table:
+            raise ConfigError(
+                f"field '{ctx}{key}': unknown field (expected {', '.join(table)})"
+            )
+    return {
+        key: _parse(parse, obj.get(key, default), ctx + key)
+        for key, (parse, default) in table.items()
+        if key in obj or default is not None
+    }
 
 
 @dataclass(frozen=True)
@@ -135,8 +186,8 @@ class ExperimentConfig:
         }
 
 
-# Probes run when a builtin config lists none; unlisted fields take
-# _resolve_probe's defaults.
+# Probes run when a builtin config lists none; unlisted fields take the
+# defaults in _KINDS.
 DEFAULT_PROBES = {
     "theorem2": [
         {"probe": "attractor", "start": "1/3"},
@@ -172,17 +223,16 @@ def parse_config(obj: dict, overrides: dict | None = None) -> ExperimentConfig:
     params_obj = obj.get("system_params", {})
     if not isinstance(params_obj, dict):
         raise ConfigError("field 'system_params': expected JSON object")
-    system_params = _resolve_system_params(system, params_obj)
+    system_params = dict(params_obj)
+    if isinstance(system, str):
+        system_params = _fields(_SYSTEM_PARAMS[system], params_obj, "system_params.")
 
     probes_obj = obj.get("probes")
     if probes_obj is None:
         probes_obj = DEFAULT_PROBES.get(system, []) if isinstance(system, str) else []
     if not isinstance(probes_obj, list):
         raise ConfigError("field 'probes': expected list")
-    probes = tuple(
-        _resolve_probe(_override_probe(p, overrides), i)
-        for i, p in enumerate(probes_obj)
-    )
+    probes = tuple(_resolve_probe(p, i, overrides) for i, p in enumerate(probes_obj))
 
     precision_obj = obj.get("precision", {})
     if not isinstance(precision_obj, dict):
@@ -193,226 +243,52 @@ def parse_config(obj: dict, overrides: dict | None = None) -> ExperimentConfig:
             precision_obj[key] = overrides[key]
     precision = _resolve_precision(precision_obj, system)
 
-    out_dir = overrides.get("out") or obj.get("out") or "results"
+    # the config's own out is checked even when --out replaces it
+    out_dir = obj.get("out", "results")
+    if not isinstance(out_dir, str):
+        raise ConfigError(f"field 'out': expected a directory path string, got {out_dir!r}")
+    out_dir = overrides.get("out") or out_dir or "results"
     seed = overrides.get("seed")
     if seed is None:
-        seed = _cfg_int(obj, "seed", default=0)
+        seed = _parse(_integer(), obj.get("seed", 0), "seed")
     return ExperimentConfig(
         system_source=system,
         probes=probes,
         precision=precision,
-        out_dir=str(out_dir),
+        out_dir=out_dir,
         seed=int(seed),
         system_params=system_params,
     )
 
 
-def _resolve_system_params(system, params_obj: dict) -> dict:
-    if system != "theorem1" and system != "theorem2":
-        return dict(params_obj)
-    ctx = "system_params."
-    alpha = _cfg_rational(params_obj, "alpha", default=Fraction(34, 55), context=ctx)
-    if system == "theorem2":
-        return {"alpha": rational_str(alpha)}
-    params = Theorem1Params(
-        alpha=alpha,
-        gap_ratio=_cfg_rational(params_obj, "lambda", default=Fraction(1, 2), context=ctx),
-        gap_mass=_cfg_rational(params_obj, "s", default=Fraction(1, 2), context=ctx),
-        stage=_cfg_int(params_obj, "stage", default=8, context=ctx),
-        sigma=_cfg_rational(params_obj, "sigma", default=Fraction(1, 2), context=ctx),
-        approximant_count=_cfg_int(params_obj, "generators", default=2, context=ctx),
-        gap_index=_cfg_int(params_obj, "gap_index", default=0, context=ctx),
-    )
-    return params.to_obj()
-
-
-_PROBE_KINDS = (
-    "attractor",
-    "covering",
-    "equicontinuity",
-    "invariance",
-    "iterate",
-    "minimality",
-    "sensitivity",
-)
-
-
-# The probe field each of --max-iter and --tol overrides, per probe kind.
-_OVERRIDDEN_FIELDS = {
-    "max_iter": {
-        "attractor": "budget",
-        "covering": "budget",
-        "iterate": "steps",
-        "minimality": "depth",
-        "sensitivity": "truncation",
-        "equicontinuity": "truncation",
+# Builtin construction parameters; file-based systems take system_params
+# free-form.
+_SYSTEM_PARAMS = {
+    "theorem1": {
+        key: (_integer() if isinstance(default, int) else _rational, default)
+        for key, default in Theorem1Params().to_obj().items()
     },
-    "tol": {"attractor": "tol", "invariance": "tol", "minimality": "epsilon"},
+    "theorem2": {"alpha": (_rational, "34/55")},
 }
 
 
-def _override_probe(p: Any, overrides: dict) -> Any:
-    """The raw probe object with the --max-iter / --tol overrides applied,
-    so they pass the same validation as config values."""
-    if not isinstance(p, dict):
-        return p
-    p = dict(p)
-    for flag, fields in _OVERRIDDEN_FIELDS.items():
-        key = fields.get(p.get("probe"))
-        if key is not None and overrides.get(flag) is not None:
-            p[key] = overrides[flag]
-    return p
-
-
-def _positive(value: Fraction, key: str, ctx: str) -> Fraction:
-    if value <= 0:
-        raise ConfigError(f"field '{ctx}{key}': must be positive, got {value}")
-    return value
-
-
-def _arc_length(value: Fraction, key: str, ctx: str) -> Fraction:
-    if not 0 < value <= 1:
-        raise ConfigError(f"field '{ctx}{key}': must lie in (0, 1], got {value}")
-    return value
-
-
-def _at_least(value: int, floor: int, key: str, ctx: str) -> int:
-    if value < floor:
-        raise ConfigError(f"field '{ctx}{key}': must be >= {floor}, got {value}")
-    return value
-
-
-def _resolve_probe(p: Any, index: int) -> dict:
-    ctx = f"probes[{index}]."
-    if not isinstance(p, dict):
-        raise ConfigError(f"field 'probes[{index}]': expected JSON object")
-    kind = p.get("probe")
-    if kind not in _PROBE_KINDS:
-        raise ConfigError(
-            f"field '{ctx}probe': expected one of {', '.join(_PROBE_KINDS)}, got {kind!r}"
-        )
-    direction = p.get("direction", "forward")
-    if direction not in ("forward", "backward"):
-        raise ConfigError(f"field '{ctx}direction': expected forward or backward")
-    out: dict[str, Any] = {"probe": kind, "direction": direction}
-    if kind in ("attractor", "iterate", "minimality"):
-        out["start"] = rational_str(_cfg_rational(p, "start", default=0, context=ctx))
-    if kind == "attractor":
-        out["budget"] = _at_least(
-            _cfg_int(p, "budget", default=64, context=ctx), 1, "budget", ctx
-        )
-        out["tol"] = rational_str(
-            _positive(
-                _cfg_rational(p, "tol", default=Fraction(1, 256), context=ctx),
-                "tol",
-                ctx,
-            )
-        )
-    elif kind == "iterate":
-        out["steps"] = _at_least(
-            _cfg_int(p, "steps", default=16, context=ctx), 0, "steps", ctx
-        )
-    elif kind == "minimality":
-        out["depth"] = _at_least(
-            _cfg_int(p, "depth", default=12, context=ctx), 1, "depth", ctx
-        )
-        out["epsilon"] = rational_str(
-            _positive(
-                _cfg_rational(p, "epsilon", default=Fraction(1, 64), context=ctx),
-                "epsilon",
-                ctx,
-            )
-        )
-    elif kind == "covering":
-        out["center"] = rational_str(_cfg_rational(p, "center", default=0, context=ctx))
-        out["length"] = rational_str(
-            _arc_length(
-                _cfg_rational(p, "length", default=Fraction(1, 64), context=ctx),
-                "length",
-                ctx,
-            )
-        )
-        out["budget"] = _at_least(
-            _cfg_int(p, "budget", default=64, context=ctx), 1, "budget", ctx
-        )
-    elif kind == "sensitivity":
-        lengths = p.get("lengths", ["1/64"])
-        if not isinstance(lengths, list) or not lengths:
-            raise ConfigError(f"field '{ctx}lengths': expected non-empty list")
-        try:
-            out["lengths"] = [
-                rational_str(_arc_length(frac(v), "lengths", ctx)) for v in lengths
-            ]
-        except ConfigError:
-            raise
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"field '{ctx}lengths': {exc}") from None
-        out["centers"] = [
-            rational_str(c.value) for c in _points_field(p, "centers", 16, ctx)
-        ]
-        out["truncation"] = _at_least(
-            _cfg_int(p, "truncation", default=64, context=ctx), 1, "truncation", ctx
-        )
-    elif kind == "equicontinuity":
-        deltas = p.get("deltas", ["1/16", "1/64", "1/256", "1/1024"])
-        if not isinstance(deltas, list) or not deltas:
-            raise ConfigError(f"field '{ctx}deltas': expected non-empty list")
-        try:
-            parsed = [_positive(frac(v), "deltas", ctx) for v in deltas]
-        except ConfigError:
-            raise
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"field '{ctx}deltas': {exc}") from None
-        if any(a <= b for a, b in zip(parsed, parsed[1:])) or parsed[0] > Fraction(1, 2):
-            raise ConfigError(
-                f"field '{ctx}deltas': must decrease strictly from at most 1/2"
-            )
-        out["deltas"] = [rational_str(v) for v in parsed]
-        out["base_points"] = [
-            rational_str(c.value) for c in _points_field(p, "base_points", 8, ctx)
-        ]
-        out["truncation"] = _at_least(
-            _cfg_int(p, "truncation", default=32, context=ctx), 0, "truncation", ctx
-        )
-        out["samples_per_delta"] = _at_least(
-            _cfg_int(p, "samples_per_delta", default=4, context=ctx),
-            2,
-            "samples_per_delta",
-            ctx,
-        )
-    elif kind == "invariance":
-        out["tol"] = rational_str(_cfg_rational(p, "tol", default=0, context=ctx))
-        if "set" in p:
-            try:
-                out["set"] = arcset_to_obj(arcset_from_obj(p["set"]))
-            except (ValueError, TypeError, KeyError) as exc:
-                raise ConfigError(f"field '{ctx}set': {exc}") from None
-    return out
-
-
 def _resolve_precision(obj: dict, system) -> PrecisionPolicy:
-    ctx = "precision."
-    defaults = PROBE_POLICY if system == "theorem1" else EXACT
-    limit = obj.get("denominator_limit", defaults.denominator_limit)
-    if limit is not None and (isinstance(limit, bool) or not isinstance(limit, int) or limit < 1):
-        raise ConfigError(f"field '{ctx}denominator_limit': expected positive integer or null")
-    coarsen_raw = obj.get(
-        "coarsen",
-        None if defaults.coarsen_eta is None else rational_str(defaults.coarsen_eta),
+    defaults = (PROBE_POLICY if system == "theorem1" else EXACT).to_obj()
+    nullable = lambda parse: lambda value: None if value is None else parse(value)
+    resolved = _fields(
+        {
+            "denominator_limit": (nullable(_integer(1)), defaults["denominator_limit"]),
+            "coarsen": (nullable(_positive), defaults["coarsen"]),
+            "arc_cap": (_integer(1), defaults["arc_cap"]),
+        },
+        obj,
+        "precision.",
     )
-    coarsen = None
-    if coarsen_raw is not None:
-        try:
-            coarsen = frac(coarsen_raw)
-        except (ValueError, TypeError) as exc:
-            raise ConfigError(f"field '{ctx}coarsen': {exc}") from None
-        if coarsen <= 0:
-            raise ConfigError(f"field '{ctx}coarsen': must be positive")
-    arc_cap = obj.get("arc_cap", defaults.arc_cap)
-    if isinstance(arc_cap, bool) or not isinstance(arc_cap, int) or arc_cap < 1:
-        raise ConfigError(f"field '{ctx}arc_cap': expected positive integer")
+    coarsen = resolved.get("coarsen")
     return PrecisionPolicy(
-        denominator_limit=limit, coarsen_eta=coarsen, arc_cap=arc_cap
+        denominator_limit=resolved.get("denominator_limit"),
+        coarsen_eta=None if coarsen is None else frac(coarsen),
+        arc_cap=resolved["arc_cap"],
     )
 
 
@@ -451,85 +327,37 @@ def resolve_system(config: ExperimentConfig) -> ResolvedSystem:
         raise ConfigError(f"field 'system.path': no such file {path}") from None
     except OSError as exc:
         raise ConfigError(f"field 'system.path': cannot read {path}: {exc.strerror}") from None
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise ConfigError(f"field 'system.path': cannot load IFS: {exc}") from None
     return ResolvedSystem(forward, inverse_system(forward))
 
 
-# -- probe execution -----------------------------------------------------------
+# -- probe kinds ---------------------------------------------------------------
+# One entry per probe kind.  Runners name the probe functions at call time,
+# so wrappers installed over this module's names (a tracer, a test double)
+# see every call.
+
+_HEADER = ("parameter", "estimate", "estimate_exact", "covering_time", "N")
+_STEP_HEADER = ("n", "gap_radius", "gap_radius_exact", "arc_count", "coarsened")
 
 
-def _run_probe(spec: dict, system: ResolvedSystem, policy: PrecisionPolicy) -> dict:
-    kind = spec["probe"]
-    target = system.pick(spec["direction"])
-    if kind == "attractor":
-        report = attractor_probe(
-            target,
-            point_set([CirclePoint(frac(spec["start"]))]),
-            budget=spec["budget"],
-            tol=frac(spec["tol"]),
-            policy=policy,
-        )
-        return report.to_obj()
-    if kind == "iterate":
-        traj = iterate(
-            target, point_set([CirclePoint(frac(spec["start"]))]), spec["steps"], policy
-        )
-        return _trajectory_obj(traj)
-    if kind == "minimality":
-        report = orbit_density_probe(
-            target,
-            CirclePoint(frac(spec["start"])),
-            depth=spec["depth"],
-            epsilon=frac(spec["epsilon"]),
-        )
-        return report.to_obj()
-    if kind == "covering":
-        center = CirclePoint(frac(spec["center"]))
-        length = frac(spec["length"])
-        n = covering_time(
-            target, Arc(center - length / 2, length), spec["budget"], policy
-        )
-        return {
-            "center": spec["center"],
-            "length": spec["length"],
-            "budget": spec["budget"],
-            "covering_time": n,
-        }
-    if kind == "sensitivity":
-        report = sensitivity_probe(
-            target,
-            [frac(v) for v in spec["lengths"]],
-            [CirclePoint(frac(v)) for v in spec["centers"]],
-            truncation=spec["truncation"],
-            policy=policy,
-        )
-        return report.to_obj()
-    if kind == "equicontinuity":
-        reports = [
-            equicontinuity_probe(
-                target,
-                CirclePoint(frac(v)),
-                [frac(d) for d in spec["deltas"]],
-                truncation=spec["truncation"],
-                samples_per_delta=spec["samples_per_delta"],
-                policy=policy,
-            )
-            for v in spec["base_points"]
-        ]
-        return {"base_points": [r.to_obj() for r in reports]}
-    if kind == "invariance":
-        if "set" in spec:
-            target_set = arcset_from_obj(spec["set"])
-        elif system.invariant_set is not None:
-            target_set = system.invariant_set
-        else:
-            raise ConfigError(
-                "field 'probes[*].set': required for invariance on this system"
-            )
-        report = invariance_check(target, target_set, frac(spec["tol"]))
-        return report.to_obj()
-    raise ConfigError(f"field 'probes[*].probe': unhandled kind {kind!r}")
+class _Kind(NamedTuple):
+    fields: dict  # field name -> (parser, default), as _fields reads them
+    roles: dict  # flag ("max_iter", "tol", "start") -> the field it sets
+    run: Callable  # (spec, target IFS, ResolvedSystem, PrecisionPolicy) -> report
+    rows: Callable  # report -> CSV rows under header
+    header: tuple = _HEADER
+
+
+def _row(label: str, exact: str, *rest) -> tuple[str, ...]:
+    """label, the exact value as a 12-significant-digit decimal and as p/q
+    (both empty when exact is), then the remaining cells (None: empty)."""
+    decimal = format(float(frac(exact)), ".12g") if exact else ""
+    return (label, decimal, exact, *("" if v is None else str(v) for v in rest))
+
+
+def _start(spec: dict) -> ArcSet:
+    return point_set([CirclePoint(frac(spec["start"]))])
 
 
 def _trajectory_obj(traj) -> dict:
@@ -545,6 +373,145 @@ def _trajectory_obj(traj) -> dict:
         ],
         "final_set": arcset_to_obj(traj.sets[-1]),
     }
+
+
+def _step_rows(report: dict) -> list[tuple[str, ...]]:
+    return [
+        _row(str(s["n"]), s["gap_radius"], s["arc_count"], int(s["coarsened"]))
+        for s in report["steps"]
+    ]
+
+
+_KINDS = {
+    "attractor": _Kind(
+        fields={"start": (_rational, 0), "budget": (_integer(1), 64),
+                "tol": (_positive, "1/256")},
+        roles={"max_iter": "budget", "tol": "tol", "start": "start"},
+        run=lambda spec, target, system, policy: attractor_probe(
+            target, _start(spec), budget=spec["budget"], tol=frac(spec["tol"]), policy=policy
+        ).to_obj(),
+        rows=_step_rows,
+        header=_STEP_HEADER,
+    ),
+    "covering": _Kind(
+        fields={"center": (_rational, 0), "length": (_arc_length, "1/64"),
+                "budget": (_integer(1), 64)},
+        roles={"max_iter": "budget", "start": "center"},
+        run=lambda spec, target, system, policy: {
+            **{key: spec[key] for key in ("center", "length", "budget")},
+            "covering_time": covering_time(
+                target, arc(frac(spec["center"]) - frac(spec["length"]) / 2, spec["length"]),
+                spec["budget"], policy,
+            ),
+        },
+        rows=lambda report: [_row(
+            f"center={report['center']};length={report['length']}", "",
+            report["covering_time"], report["budget"],
+        )],
+    ),
+    "equicontinuity": _Kind(
+        fields={"deltas": (_deltas, ["1/16", "1/64", "1/256", "1/1024"]),
+                "base_points": (_points, 8), "truncation": (_integer(0), 32),
+                "samples_per_delta": (_integer(2), 4)},
+        roles={"max_iter": "truncation", "start": "base_points"},
+        run=lambda spec, target, system, policy: {"base_points": [
+            equicontinuity_probe(
+                target, CirclePoint(frac(v)), [frac(d) for d in spec["deltas"]],
+                truncation=spec["truncation"], samples_per_delta=spec["samples_per_delta"],
+                policy=policy,
+            ).to_obj()
+            for v in spec["base_points"]
+        ]},
+        rows=lambda report: [
+            _row(f"x={base['base_point']};delta={entry['delta']}", entry["modulus"],
+                 None, base["truncation"])
+            for base in report["base_points"]
+            for entry in base["entries"]
+        ],
+    ),
+    # Without a set, invariance checks the system's own invariant set; run()
+    # rejects that on systems without one before any probe runs.
+    "invariance": _Kind(
+        fields={"tol": (_rational, 0), "set": (_arcset, None)},
+        roles={"tol": "tol"},
+        run=lambda spec, target, system, policy: invariance_check(
+            target,
+            arcset_from_obj(spec["set"]) if "set" in spec else system.invariant_set,
+            frac(spec["tol"]),
+        ).to_obj(),
+        rows=lambda report: [
+            _row(f"generator_{i + 1}", dist, None, None)
+            for i, dist in enumerate(report["distances"])
+        ],
+    ),
+    "iterate": _Kind(
+        fields={"start": (_rational, 0), "steps": (_integer(0), 16)},
+        roles={"max_iter": "steps", "start": "start"},
+        run=lambda spec, target, system, policy: _trajectory_obj(
+            iterate(target, _start(spec), spec["steps"], policy)
+        ),
+        rows=_step_rows,
+        header=_STEP_HEADER,
+    ),
+    "minimality": _Kind(
+        fields={"start": (_rational, 0), "depth": (_integer(1), 12),
+                "epsilon": (_positive, "1/64")},
+        roles={"max_iter": "depth", "tol": "epsilon", "start": "start"},
+        run=lambda spec, target, system, policy: orbit_density_probe(
+            target, CirclePoint(frac(spec["start"])), depth=spec["depth"],
+            epsilon=frac(spec["epsilon"]),
+        ).to_obj(),
+        rows=lambda report: [_row(
+            f"epsilon={report['epsilon']}", report["largest_gap"], None, report["depth"]
+        )],
+    ),
+    "sensitivity": _Kind(
+        fields={"lengths": (_list(_arc_length), ["1/64"]), "centers": (_points, 16),
+                "truncation": (_integer(1), 64)},
+        roles={"max_iter": "truncation", "start": "centers"},
+        run=lambda spec, target, system, policy: sensitivity_probe(
+            target, [frac(v) for v in spec["lengths"]],
+            [CirclePoint(frac(v)) for v in spec["centers"]],
+            truncation=spec["truncation"], policy=policy,
+        ).to_obj(),
+        rows=lambda report: [
+            _row(f"center={entry['center']};length={entry['length']}", entry["evidence"],
+                 entry["covering_time"], report["truncation"])
+            for entry in report["entries"]
+        ],
+    ),
+}
+
+
+def _resolve_probe(p: Any, index: int, overrides: dict) -> dict:
+    """Validate one raw probe object.  The --max-iter / --tol / --start
+    overrides are applied first, so they pass the same validation as config
+    values."""
+    ctx = f"probes[{index}]."
+    if not isinstance(p, dict):
+        raise ConfigError(f"field 'probes[{index}]': expected JSON object")
+    name = p.get("probe")
+    if not isinstance(name, str) or name not in _KINDS:
+        raise ConfigError(
+            f"field '{ctx}probe': expected one of {', '.join(sorted(_KINDS))}, got {name!r}"
+        )
+    kind = _KINDS[name]
+    if overrides.get("start") is not None and "start" not in kind.roles:
+        raise ConfigError(f"field '--start': {name} probes take no start point")
+    body = {key: value for key, value in p.items() if key != "probe"}
+    for flag, key in kind.roles.items():
+        value = overrides.get(flag)
+        if value is not None:
+            # a point-list field takes the start as a one-point list
+            body[key] = [value] if kind.fields[key][0] is _points else value
+    table = {"direction": (_direction, "forward"), **kind.fields}
+    return {"probe": name, **_fields(table, body, ctx)}
+
+
+def _probe_csv(spec: dict, report: dict) -> str:
+    """Plot-ready table: the kind's header, then one row per estimate."""
+    kind = _KINDS[spec["probe"]]
+    return "".join(",".join(row) + "\n" for row in [kind.header, *kind.rows(report)])
 
 
 # -- report bundle -------------------------------------------------------------
@@ -568,91 +535,19 @@ class ReportBundle:
         return obj
 
 
-def _decimal(value: Fraction) -> str:
-    return format(float(value), ".12g")
-
-
 def _atomic_write(path: Path, text: str) -> None:
     tmp = path.with_suffix(path.suffix + ".tmp")
     tmp.write_text(text)
     os.replace(tmp, path)
 
 
-def _probe_csv(spec: dict, report: dict) -> str:
-    """Plot-ready table: parameter, estimate (12 significant digits), exact
-    estimate, covering time, truncation."""
-    rows = [("parameter", "estimate", "estimate_exact", "covering_time", "N")]
-    kind = spec["probe"]
-    if kind in ("attractor", "iterate"):
-        rows = [("n", "gap_radius", "gap_radius_exact", "arc_count", "coarsened")]
-        for step in report["steps"]:
-            exact = frac(step["gap_radius"])
-            rows.append(
-                (
-                    str(step["n"]),
-                    _decimal(exact),
-                    step["gap_radius"],
-                    str(step["arc_count"]),
-                    str(int(step["coarsened"])),
-                )
-            )
-    elif kind == "equicontinuity":
-        for base in report["base_points"]:
-            for entry in base["entries"]:
-                exact = frac(entry["modulus"])
-                rows.append(
-                    (
-                        f"x={base['base_point']};delta={entry['delta']}",
-                        _decimal(exact),
-                        entry["modulus"],
-                        "",
-                        str(base["truncation"]),
-                    )
-                )
-    elif kind == "sensitivity":
-        for entry in report["entries"]:
-            exact = frac(entry["evidence"])
-            rows.append(
-                (
-                    f"center={entry['center']};length={entry['length']}",
-                    _decimal(exact),
-                    entry["evidence"],
-                    "" if entry["covering_time"] is None else str(entry["covering_time"]),
-                    str(report["truncation"]),
-                )
-            )
-    elif kind == "covering":
-        rows.append(
-            (
-                f"center={report['center']};length={report['length']}",
-                "",
-                "",
-                "" if report["covering_time"] is None else str(report["covering_time"]),
-                str(report["budget"]),
-            )
-        )
-    elif kind == "minimality":
-        exact = frac(report["largest_gap"])
-        rows.append(
-            (
-                f"epsilon={report['epsilon']}",
-                _decimal(exact),
-                report["largest_gap"],
-                "",
-                str(report["depth"]),
-            )
-        )
-    elif kind == "invariance":
-        for i, dist in enumerate(report["distances"]):
-            exact = frac(dist)
-            rows.append((f"generator_{i + 1}", _decimal(exact), dist, "", ""))
-    return "\n".join(",".join(row) for row in rows) + "\n"
-
-
 def run(config: ExperimentConfig) -> ReportBundle:
     """Execute all configured probes and write bundle.json, per-probe CSVs,
     and the timings sidecar into the output directory."""
     system = resolve_system(config)
+    for i, spec in enumerate(config.probes):
+        if spec["probe"] == "invariance" and "set" not in spec and system.invariant_set is None:
+            raise ConfigError(f"field 'probes[{i}].set': required for invariance on this system")
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -661,7 +556,9 @@ def run(config: ExperimentConfig) -> ReportBundle:
     for i, spec in enumerate(config.probes):
         started = time.perf_counter()
         try:
-            report = _run_probe(spec, system, config.precision)
+            report = _KINDS[spec["probe"]].run(
+                spec, system.pick(spec["direction"]), system, config.precision
+            )
         except ResourceCapError as exc:
             cap_error = exc
             bundle.reports.append(
@@ -788,6 +685,7 @@ def _load_config(args, extra_probes=None) -> ExperimentConfig:
         "coarsen": args.coarsen,
         "max_iter": args.max_iter,
         "tol": args.tol,
+        "start": getattr(args, "start", None),
     }
     if extra_probes is not None:
         raw = dict(raw)
@@ -819,7 +717,7 @@ def main(argv: Sequence[str] | None = None) -> int:
 
     p_probe = sub.add_parser("probe", help="run a single probe")
     _add_common_flags(p_probe)
-    p_probe.add_argument("kind", choices=_PROBE_KINDS)
+    p_probe.add_argument("kind", choices=sorted(_KINDS))
     p_probe.add_argument(
         "--direction", choices=("forward", "backward"), default="forward"
     )
@@ -842,7 +740,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             spec = {
                 "probe": "iterate",
                 "direction": args.direction,
-                "start": args.start,
                 "steps": args.steps,
             }
             config = _load_config(args, extra_probes=[spec])
@@ -862,8 +759,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 if not isinstance(params, dict):
                     raise ConfigError("field '--params': expected JSON object")
                 spec.update(params)
-            if args.start is not None:
-                spec["start"] = args.start
             config = _load_config(args, extra_probes=[spec])
             bundle = run(config)
             print(json.dumps(bundle.reports[-1]["report"], indent=2, sort_keys=True))

@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 import random
@@ -130,6 +131,27 @@ def test_unknown_probe_rejected():
                 ("theorem2", {"alpha": "3/2"}, "theorem2-alpha-above-one"),
             ]
         ),
+        *(
+            pytest.param({"system": system, "probes": []} | extra, [], field, id=case)
+            for system, extra, field, case in [
+                ("theorem2", {"probes": [{"probe": "attractor", "budjet": 3}]},
+                 "probes[0].budjet", "unknown-probe-field"),
+                ("theorem2", {"probes": [{"probe": "attractor", "tol": "1/0"}]},
+                 "probes[0].tol", "zero-denominator"),
+                ("theorem2", {"probes": [{"probe": ["attractor"]}]},
+                 "probes[0].probe", "kind-not-string"),
+                ("theorem1", {"system_params": {"lamda": "1/3"}},
+                 "system_params.lamda", "unknown-theorem1-param"),
+                ("theorem2", {"system_params": {"lambda": "1/3"}},
+                 "system_params.lambda", "unknown-theorem2-param"),
+                ("theorem2", {"precision": {"coarsen": "1/0"}},
+                 "precision.coarsen", "coarsen-zero-denominator"),
+                ("theorem2", {"precision": {"denominator_limt": 64}},
+                 "precision.denominator_limt", "unknown-precision-field"),
+                ("theorem2", {"out": 5}, "'out'", "out-int"),
+                ("theorem2", {"out": {"a": 1}}, "'out'", "out-object"),
+            ]
+        ),
         pytest.param(
             {"system": "theorem1", "probes": [{"probe": "sensitivity", "centers": []}]},
             [],
@@ -150,6 +172,7 @@ def test_unknown_probe_rejected():
             for path, case in [
                 ("generators-int.json", "ifs-generator-not-object"),
                 ("generators-str.json", "ifs-generators-string"),
+                ("offset-zero-denominator.json", "ifs-offset-zero-denominator"),
                 (5, "path-not-string"),
                 (".", "path-is-directory"),
             ]
@@ -161,7 +184,11 @@ def test_cli_exit_code_on_malformed_config(
 ):
     # the IFS files the system.path cases name, relative to the run directory
     monkeypatch.chdir(tmp_path)
-    for name, generators in [("generators-int.json", [1]), ("generators-str.json", "ab")]:
+    for name, generators in [
+        ("generators-int.json", [1]),
+        ("generators-str.json", "ab"),
+        ("offset-zero-denominator.json", [{"offset": "1/0", "breakpoints": []}]),
+    ]:
         (tmp_path / name).write_text(json.dumps({"generators": generators}))
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))
@@ -177,6 +204,44 @@ def test_cli_probe_params_must_be_object(tmp_path, capsys):
     )
     assert code == EXIT_CONFIG
     assert "'--params'" in capsys.readouterr().err
+
+
+def test_cli_invariance_without_set_fails_before_any_probe(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({
+        "system": "theorem2",
+        "probes": [{"probe": "attractor", "budget": 2}, {"probe": "invariance"}],
+    }))
+    out = tmp_path / "out"
+    code = main(["run", "--config", str(cfg), "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "probes[1].set" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "kind, field, value",
+    [
+        ("attractor", "start", "1/3"),
+        ("covering", "center", "1/3"),
+        ("equicontinuity", "base_points", ["1/3"]),
+        ("sensitivity", "centers", ["1/3"]),
+    ],
+)
+def test_cli_probe_start_sets_the_kinds_field(tmp_path, kind, field, value):
+    code = main(["probe", kind, "--system", "theorem2", "--start", "1/3",
+                 "--max-iter", "2", "--out", str(tmp_path)])
+    assert code == 0
+    bundle = json.loads((tmp_path / "bundle.json").read_text())
+    assert bundle["reports"][0]["params"][field] == value
+
+
+def test_cli_probe_start_rejected_where_no_field_takes_it(tmp_path, capsys):
+    code = main(["probe", "invariance", "--system", "theorem2", "--start", "1/3",
+                 "--params", json.dumps({"set": [{"start": "0", "length": "1"}]}),
+                 "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    assert "'--start'" in capsys.readouterr().err
 
 
 def test_cli_exit_code_on_resource_cap(tmp_path, capsys):
@@ -214,6 +279,68 @@ def test_run_writes_bundle_and_csvs(tmp_path):
     payload = json.loads((out / "bundle.json").read_text())
     assert payload["tool"]["name"] == "hutch"
     assert payload["config"]["seed"] == 0
+
+
+# Between them the two configs run every probe kind, invariance both with and
+# without a set; the digests pin bundle.json and every CSV byte for byte.
+GOLDEN = {
+    "theorem1": (
+        [
+            {"probe": "sensitivity", "direction": "backward", "lengths": ["1/64"],
+             "centers": 2, "truncation": 8},
+            {"probe": "equicontinuity", "base_points": 1, "deltas": ["1/16"],
+             "truncation": 4, "samples_per_delta": 2},
+            {"probe": "invariance"},
+            {"probe": "minimality", "start": "1/3", "depth": 4, "epsilon": "1/8"},
+        ],
+        {
+            "bundle.json": "5932914117593a592b944322ddf16dd53c24e1b7fc4f2e7fa500290ed46aa5e9",
+            "probe_00_sensitivity.csv":
+                "d1d4ad882823ec3d03e912b4505ad98dc75e54544d289ca10ea7165819c663f6",
+            "probe_01_equicontinuity.csv":
+                "1b519f2839ab38619f1f39ea674768e9eaf78f88443e8b7166a16d98dbe93880",
+            "probe_02_invariance.csv":
+                "d7476a182ce4a16a2031c5dacecf5bcc09ac457065f5fde2e46ea882247aea8a",
+            "probe_03_minimality.csv":
+                "68d6e1b1244aaae3679f68c4edaa61ee8af2822e919a6d3d135225bc552e22ed",
+        },
+    ),
+    "theorem2": (
+        [
+            {"probe": "attractor", "start": "1/3", "budget": 8, "tol": "1/16"},
+            {"probe": "iterate", "direction": "backward", "start": "1/5", "steps": 3},
+            {"probe": "covering", "center": "1/3", "length": "1/16", "budget": 16},
+            {"probe": "invariance", "set": [{"start": "0", "length": "1"}]},
+        ],
+        {
+            "bundle.json": "4d15008eb57b2715e1bcd3f27e3457171ab54aa2ed584da76075cce0b3107492",
+            "probe_00_attractor.csv":
+                "52d182b55e5f0d439b2bb734e444d606c21dee57dda55107a14baec8de120130",
+            "probe_01_iterate.csv":
+                "7484c599499d4470e83c132d59c88c6808d0678fd10d4ad4ed54f7927b3f136c",
+            "probe_02_covering.csv":
+                "09640fd659e4517d3cb69a18377bf99eeab755cb7888b9c2540bbf702a64839d",
+            "probe_03_invariance.csv":
+                "0d1293b5863da0522d8dbaad14a405fbfb231012d621de928eaaa4a664a693a7",
+        },
+    ),
+}
+
+
+def test_golden_configs_cover_every_kind():
+    kinds = {p["probe"] for probes, _ in GOLDEN.values() for p in probes}
+    assert kinds == {"attractor", "covering", "equicontinuity", "invariance",
+                     "iterate", "minimality", "sensitivity"}
+
+
+@pytest.mark.parametrize("system", sorted(GOLDEN))
+def test_golden_bundle_and_csv_bytes(tmp_path, system):
+    probes, digests = GOLDEN[system]
+    run(parse_config({"system": system, "probes": probes, "out": str(tmp_path)}))
+    written = sorted(p.name for p in tmp_path.iterdir() if p.name != "timings.json")
+    assert written == sorted(digests)
+    for name, digest in digests.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_run_deterministic_bundles(tmp_path):
