@@ -210,6 +210,35 @@ def _normalize_segments_flagged(
 ) -> tuple[ArcSet, bool]:
     """normalize_segments plus a flag: True iff gap-filling (coarsening)
     actually changed the result."""
+    # Gaps shorter than en / ed are filled; None fills none, as 0 does.
+    en, ed = (0, 1) if fill_eta is None else (fill_eta.numerator, fill_eta.denominator)
+    merged, filled = _merged_runs(raw, en, ed)
+
+    # Closed arcs meeting (or within the fill slack) across 0 merge into one
+    # wrapped arc; a lone arc meeting itself there is the full circle.
+    fn, fd, gn, gd = merged[0]
+    sn, sd, tn, td = merged[-1]
+    wrap = (fn + fd) * td - tn * fd  # first start + 1 - last end, over fd td
+    if wrap <= 0 or wrap * ed < en * fd * td:
+        filled = filled or wrap > 0
+        if len(merged) == 1:
+            return full_circle(), filled
+        merged[-1] = (sn, sd, gn + gd, gd)
+        del merged[0]
+
+    arcs = tuple(
+        _trusted_arc(Fraction(sn, sd), Fraction(tn * sd - sn * td, td * sd))
+        for sn, sd, tn, td in merged
+    )
+    return _trusted_arcset(arcs), filled
+
+
+def _merged_runs(
+    raw: Iterable[tuple[Fraction, Fraction]], en: int, ed: int
+) -> tuple[list[tuple[int, int, int, int]], bool]:
+    """Segments (lo, hi) shifted into [0, 1), split at 1, sorted, and merged
+    where they meet or lie less than en / ed apart: the runs (start n, d, end
+    n, d) and whether a gap was closed; a length >= 1 gives the run [0, 1]."""
     # Unroll to closed segments [lo, hi] inside [0, 1], splitting wraparounds,
     # as reduced int pairs; values compare by cross-multiplication.
     segments: list[tuple[int, int, int, int]] = []
@@ -218,7 +247,7 @@ def _normalize_segments_flagged(
         ln, ld = lo.numerator, lo.denominator
         hn, hd = hi.numerator, hi.denominator
         if hn * ld - ln * hd >= ld * hd:  # length >= 1
-            return full_circle(), False
+            return [(0, 1, 1, 1)], False
         if not 0 <= ln < ld:
             shift = ln // ld
             ln, hn = ln - shift * ld, hn - shift * hd
@@ -236,11 +265,9 @@ def _normalize_segments_flagged(
     k = 2 * dmax.bit_length()
     segments.sort(key=lambda seg: (seg[0] << k) // seg[1])
 
-    # Gaps shorter than en / ed are filled; None fills none, as 0 does.
-    en, ed = (0, 1) if fill_eta is None else (fill_eta.numerator, fill_eta.denominator)
     filled = False
     merged: list[tuple[int, int, int, int]] = []
-    sn, sd, tn, td = segments[0]  # the arc being merged, [s, t]
+    sn, sd, tn, td = segments[0]  # the run being merged, [s, t]
     for ln, ld, hn, hd in segments:
         gap = ln * td - tn * ld
         if gap > 0:
@@ -251,25 +278,19 @@ def _normalize_segments_flagged(
             filled = True
         if hn * td > tn * hd:
             tn, td = hn, hd
-
-    # Closed arcs meeting (or within the fill slack) across the point 0
-    # merge into a single wrapped arc; a lone arc meeting itself there is
-    # the full circle.
-    fn, fd, gn, gd = merged[0] if merged else (sn, sd, tn, td)
-    wrap = (fn + fd) * td - tn * fd  # first start + 1 - last end, over fd td
-    if wrap <= 0 or wrap * ed < en * fd * td:
-        filled = filled or wrap > 0
-        if not merged:
-            return full_circle(), filled
-        del merged[0]
-        tn, td = gn + gd, gd
     merged.append((sn, sd, tn, td))
+    return merged, filled
 
-    arcs = tuple(
-        _trusted_arc(Fraction(sn, sd), Fraction(tn * sd - sn * td, td * sd))
-        for sn, sd, tn, td in merged
-    )
-    return _trusted_arcset(arcs), filled
+
+def segment_runs(
+    raw: Iterable[tuple[Fraction, Fraction]],
+) -> Iterator[tuple[Fraction, Fraction]]:
+    """The runs of the union of lift-line segments, inside [0, 1], no gap
+    filled.  round_segments gives them the union it gives the segments: its
+    rule is monotone and commutes with integer shifts, so segments that meet
+    still meet once rounded, and 0 and 1 round to themselves."""
+    for sn, sd, tn, td in _merged_runs(raw, 0, 1)[0]:
+        yield Fraction(sn, sd), Fraction(tn, td)
 
 
 def normalize(raw: Sequence[Arc]) -> ArcSet:
@@ -427,8 +448,8 @@ def round_segments(
     max_denominator; None passes them through unchanged.
 
     The one endpoint rule: lo is rounded, lengths 0 and 1 are kept exact,
-    and hi is rounded, then clamped to lo so rounding never inverts a
-    segment.  Each endpoint rounds as Fraction.limit_denominator would.
+    and hi is rounded, as Fraction.limit_denominator would: to a nearest
+    rational, so the rule is monotone and never inverts a segment.
     """
     if max_denominator is None:
         yield from raw
@@ -444,11 +465,8 @@ def round_segments(
             hi = lo
         elif hd == ld and hn == ln + ld:
             hi = lo + 1
-        else:
-            if hd > max_denominator:
-                hi = _limit_denominator(hn, hd, max_denominator)
-            if hi < lo:
-                hi = lo
+        elif hd > max_denominator:
+            hi = _limit_denominator(hn, hd, max_denominator)
         yield lo, hi
 
 

@@ -149,16 +149,21 @@ def _fields(table: dict, obj: dict, ctx: str) -> dict:
     """Resolve obj against table, which maps each field name to (parser,
     default); a field whose default is None is optional and omitted when
     absent.  Keys the table does not name are rejected."""
-    for key in obj:
-        if key not in table:
-            raise ConfigError(
-                f"field '{ctx}{key}': unknown field (expected {', '.join(table)})"
-            )
+    _known_keys(obj, table, ctx)
     return {
         key: _parse(parse, obj.get(key, default), ctx + key)
         for key, (parse, default) in table.items()
         if key in obj or default is not None
     }
+
+
+def _known_keys(obj: dict, names, ctx: str) -> None:
+    """Reject the first key of obj that is not one of names."""
+    for key in obj:
+        if key not in names:
+            raise ConfigError(
+                f"field '{ctx}{key}': unknown field (expected {', '.join(names)})"
+            )
 
 
 @dataclass(frozen=True)
@@ -206,6 +211,7 @@ def parse_config(obj: dict, overrides: dict | None = None) -> ExperimentConfig:
     overrides = overrides or {}
     if not isinstance(obj, dict):
         raise ConfigError("field '<root>': config must be a JSON object")
+    _known_keys(obj, ("system", "system_params", "probes", "precision", "out", "seed"), "")
 
     system = overrides.get("system") or obj.get("system")
     if system is None:

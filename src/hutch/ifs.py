@@ -20,6 +20,7 @@ from .circle import (
     rational_str,
     round_arcset,
     round_segments,
+    segment_runs,
 )
 from .homeo import PLHomeo, Word
 
@@ -127,9 +128,13 @@ def hutchinson_step(
 ) -> tuple[ArcSet, bool]:
     """One Hutchinson step with the policy's rounding and coarsening applied
     in the same normalization pass; returns (F(A) processed, coarsened?)."""
+    segments = _images(system.generators, a)
+    if policy.denominator_limit is not None:
+        # round only the ends of the exact runs: the same union, see segment_runs
+        segments = segment_runs(segments)
     return policy._capped(
         *_normalize_segments_flagged(
-            round_segments(_images(system.generators, a), policy.denominator_limit),
+            round_segments(segments, policy.denominator_limit),
             policy.coarsen_eta,
         )
     )

@@ -279,37 +279,37 @@ def sensitivity_probe(
     if not centers:
         raise ValueError("need at least one center")
 
+    # centers outermost: each center's orbit is stepped once, one at a time
     coarsened = False
-    entries = []
-    for length in lens:
-        for center in centers:
+    entries: list[SensitivityEntry | None] = [None] * (len(lens) * len(centers))
+    for j, center in enumerate(centers):
+        center_steps = list(_singleton_orbit(system, center, truncation, policy))
+        for i, length in enumerate(lens):
             u = Arc(center - length / 2, length)
-            orbits = [
+            start_steps, end_steps = (
                 list(_singleton_orbit(system, p, truncation, policy))
-                for p in (u.start, center, u.end)
-            ]
+                for p in (u.start, u.end)
+            )
+            orbits = [start_steps, center_steps, end_steps]
             coarsened |= any(coarse for steps in orbits for _, coarse in steps)
             diameter = max(
                 _df_over_orbits(iter(ta), iter(tb))[0]
-                for i, ta in enumerate(orbits)
-                for tb in orbits[i + 1 :]
+                for k, ta in enumerate(orbits)
+                for tb in orbits[k + 1 :]
             )
             cover_n = covering_time(system, u, truncation, policy)
             bound: Fraction | None = None
             if cover_n is not None:
-                center_steps = orbits[1]
                 at_cover = center_steps[min(cover_n, len(center_steps) - 1)][0]
                 bound = Fraction(1, 2) - gap_radius(at_cover)
             evidence = max(diameter, bound) if bound is not None else diameter
-            entries.append(
-                SensitivityEntry(
-                    center=center,
-                    length=length,
-                    diameter_estimate=diameter,
-                    covering_time=cover_n,
-                    covering_bound=bound,
-                    evidence=evidence,
-                )
+            entries[i * len(centers) + j] = SensitivityEntry(
+                center=center,
+                length=length,
+                diameter_estimate=diameter,
+                covering_time=cover_n,
+                covering_bound=bound,
+                evidence=evidence,
             )
     lower = min(e.evidence for e in entries)
     verdict = VERDICT_SENSITIVE if lower > 2 * max(lens) else VERDICT_NOT_SENSITIVE

@@ -1,6 +1,7 @@
 import random
 from bisect import bisect_left
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -23,6 +24,7 @@ from hutch.circle import (
     normalize,
     point_set,
     round_segments,
+    segment_runs,
     union,
 )
 from hutch.ifs import PrecisionPolicy
@@ -498,6 +500,78 @@ def test_round_segments_tie_rule(value, max_denominator, expected):
         expected,
         expected,
     )
+
+
+LIMITS = [1, 2, 3, 16, 2**16]
+
+
+@st.composite
+def rounding_points(draw, limit):
+    """Rationals to round at the given limit: exact midpoints of Farey
+    neighbours (the tie rule) and points 2^-100 off them, denominators above
+    2^80, and small ones, shifted by -5..5."""
+    kind = draw(st.integers(0, 2))
+    if kind == 0:
+        # a/b and its right neighbour c/d among denominators <= limit
+        b = draw(st.integers(1, limit))
+        a = draw(st.integers(0, b - 1))
+        g = gcd(a, b)
+        a, b = a // g, b // g
+        d = (-pow(a, -1, b)) % b if b > 1 else 0
+        d += b * ((limit - d) // b)
+        c = (1 + a * d) // b
+        off = draw(st.sampled_from([0, 0, F(1, 2**100), -F(1, 2**100)]))
+        x = (F(a, b) + F(c, d)) / 2 + off
+    elif kind == 1:
+        d = draw(st.integers(2**80, 2**90))
+        x = F(draw(st.integers(0, d - 1)), d)
+    else:
+        x = draw(st.fractions(min_value=0, max_value=1, max_denominator=10**6))
+    return x + draw(st.integers(-5, 5))
+
+
+def rounded(x: Fraction, limit: int) -> Fraction:
+    return next(round_segments([(x, x)], limit))[0]
+
+
+@settings(max_examples=300)
+@given(st.data(), st.sampled_from(LIMITS))
+def test_round_segments_rule_is_monotone_and_shift_invariant(data, limit):
+    x = data.draw(rounding_points(limit))
+    steps = [0, F(1, 2**100), F(1, 2 * limit * limit), F(1, limit)]
+    step = data.draw(st.sampled_from(steps))
+    y = data.draw(st.one_of(rounding_points(limit), st.just(x + step)))
+    x, y = min(x, y), max(x, y)
+    rx, ry = rounded(x, limit), rounded(y, limit)
+    assert rx == x.limit_denominator(limit)
+    assert rx <= ry
+    for k in (-3, 1, 7):
+        assert rounded(x + k, limit) == rx + k
+    # so a segment's ends round on their own, and hi never falls below lo
+    if y - x <= 1:
+        assert next(round_segments([(x, y)], limit)) == (rx, ry)
+
+
+@settings(max_examples=300)
+@given(
+    lift_segments(),
+    st.sampled_from(LIMITS),
+    st.sampled_from([None, F(1, 2048), F(1, 2)]),
+)
+def test_rounding_runs_matches_rounding_segments(segments, limit, eta):
+    runs = list(segment_runs(iter(segments)))
+    # the runs: sorted segments inside [0, 1], apart, covering what the
+    # segments cover
+    assert all(0 <= lo <= hi <= 1 for lo, hi in runs)
+    assert all(a[1] < b[0] for a, b in zip(runs, runs[1:]))
+    points = [CirclePoint(v) for seg in segments + runs for v in seg]
+    eps = F(1, 10**40)
+    points += [p + e for p in points for e in (eps, -eps)]
+    for p in points:
+        assert covered(runs, p) == covered(segments, p)
+    assert _normalize_segments_flagged(
+        round_segments(runs, limit), eta
+    ) == _normalize_segments_flagged(round_segments(segments, limit), eta)
 
 
 # -- serialization -----------------------------------------------------------------

@@ -150,6 +150,9 @@ def test_unknown_probe_rejected():
                  "precision.denominator_limt", "unknown-precision-field"),
                 ("theorem2", {"out": 5}, "'out'", "out-int"),
                 ("theorem2", {"out": {"a": 1}}, "'out'", "out-object"),
+                ("theorem2", {"sede": 3}, "'sede'", "unknown-top-level-key"),
+                ("theorem2", {"probs": [], "sede": 3}, "'probs'",
+                 "misspelt-probes-key"),
             ]
         ),
         pytest.param(
