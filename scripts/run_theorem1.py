@@ -11,12 +11,13 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from hutch.cli import parse_config, run
+from hutch.cli import ExperimentConfig, parse_config, run
 
 
-def main() -> None:
-    out = Path(__file__).resolve().parent.parent / "results" / "theorem1"
-    config = parse_config(
+def config(out: Path) -> ExperimentConfig:
+    """The run whose outputs are committed under results/theorem1/, writing
+    them under out instead."""
+    return parse_config(
         {
             "system": "theorem1",
             "probes": [
@@ -33,7 +34,11 @@ def main() -> None:
             "seed": 0,
         }
     )
-    bundle = run(config)
+
+
+def main() -> None:
+    out = Path(__file__).resolve().parent.parent / "results" / "theorem1"
+    bundle = run(config(out))
     print(f"wrote {len(bundle.reports)} reports to {out}")
     for entry, elapsed in zip(bundle.reports, bundle.timings):
         print(f"  {entry['probe']:16s} {elapsed:7.2f}s")

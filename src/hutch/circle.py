@@ -234,11 +234,18 @@ def _normalize_segments_flagged(
 
 
 def _merged_runs(
-    raw: Iterable[tuple[Fraction, Fraction]], en: int, ed: int
+    raw: Iterable[tuple[Fraction, Fraction]],
+    en: int,
+    ed: int,
+    limit: int | None = None,
 ) -> tuple[list[tuple[int, int, int, int]], bool]:
     """Segments (lo, hi) shifted into [0, 1), split at 1, sorted, and merged
     where they meet or lie less than en / ed apart: the runs (start n, d, end
-    n, d) and whether a gap was closed; a length >= 1 gives the run [0, 1]."""
+    n, d) and whether a gap was closed; a length >= 1 gives the run [0, 1].
+
+    With a denominator limit D a closed gap of at most 1/D counts only if
+    its two ends stay apart once rounded (_limit_denominator), as a gap
+    filled after rounding would: see RoundedRuns."""
     # Unroll to closed segments [lo, hi] inside [0, 1], splitting wraparounds,
     # as reduced int pairs; values compare by cross-multiplication.
     segments: list[tuple[int, int, int, int]] = []
@@ -275,22 +282,59 @@ def _merged_runs(
                 merged.append((sn, sd, tn, td))
                 sn, sd, tn, td = ln, ld, hn, hd
                 continue
-            filled = True
+            if not filled:
+                if limit is None or gap * limit > ld * td:
+                    filled = True
+                else:
+                    # a gap of at most 1/D: do its ends round apart?
+                    an, ad = _limit_denominator(tn, td, limit)
+                    bn, bd = _limit_denominator(ln, ld, limit)
+                    filled = an * bd < bn * ad
         if hn * td > tn * hd:
             tn, td = hn, hd
     merged.append((sn, sd, tn, td))
     return merged, filled
 
 
-def segment_runs(
-    raw: Iterable[tuple[Fraction, Fraction]],
-) -> Iterator[tuple[Fraction, Fraction]]:
-    """The runs of the union of lift-line segments, inside [0, 1], no gap
-    filled.  round_segments gives them the union it gives the segments: its
-    rule is monotone and commutes with integer shifts, so segments that meet
-    still meet once rounded, and 0 and 1 round to themselves."""
-    for sn, sd, tn, td in _merged_runs(raw, 0, 1)[0]:
-        yield Fraction(sn, sd), Fraction(tn, td)
+class RoundedRuns:
+    """The runs of the union of lift-line segments inside [0, 1], joined
+    across the gaps that rounding cannot reopen, with their ends rounded
+    (_limit_denominator), made as they are pulled.  Once pulling starts,
+    filled says whether a gap so joined is filled.  Normalized with
+    fill_eta, with that flag or-ed in, they give the set and flag that
+    round_segments on the segments followed by the normaliser gives.
+
+    The rule is monotone and commutes with integer shifts, so the exact
+    runs round to the runs of the rounded segments, in order, and 0 and 1
+    round to themselves.  It moves a point by at most 1/(2D), D the limit,
+    so a gap g between exact runs rounds to within 1/D of g: if
+    g + 1/D < fill_eta, the rounded runs touch or the fill closes the gap,
+    either way one run, so the gap is merged before rounding.  It is filled
+    for certain if g > 1/D; a gap of at most 1/D is filled iff its ends
+    round apart.  The other gaps are left to the normaliser, on rounded ends.
+    """
+
+    def __init__(
+        self,
+        raw: Iterable[tuple[Fraction, Fraction]],
+        max_denominator: int,
+        fill_eta: Fraction | None,
+    ) -> None:
+        self.raw = raw
+        self.max_denominator = max_denominator
+        self.fill_eta = fill_eta
+        self.filled = False
+
+    def __iter__(self) -> Iterator[tuple[Fraction, Fraction]]:
+        d, eta = self.max_denominator, self.fill_eta
+        en, ed = (0, 1) if eta is None else (eta.numerator, eta.denominator)
+        # merge the gaps shorter than fill_eta - 1/D
+        merged, self.filled = _merged_runs(self.raw, en * d - ed, ed * d, d)
+        for sn, sd, tn, td in merged:
+            yield (
+                Fraction(*_limit_denominator(sn, sd, d)),
+                Fraction(*_limit_denominator(tn, td, d)),
+            )
 
 
 def normalize(raw: Sequence[Arc]) -> ArcSet:
@@ -460,21 +504,23 @@ def round_segments(
         ln, ld = lo.numerator, lo.denominator
         hn, hd = hi.numerator, hi.denominator
         if ld > max_denominator:
-            lo = _limit_denominator(ln, ld, max_denominator)
+            lo = Fraction(*_limit_denominator(ln, ld, max_denominator))
         if hd == ld and hn == ln:
             hi = lo
         elif hd == ld and hn == ln + ld:
             hi = lo + 1
         elif hd > max_denominator:
-            hi = _limit_denominator(hn, hd, max_denominator)
+            hi = Fraction(*_limit_denominator(hn, hd, max_denominator))
         yield lo, hi
 
 
-def _limit_denominator(n: int, d: int, max_denominator: int) -> Fraction:
-    """Fraction(n, d).limit_denominator(max_denominator) for reduced n/d
-    with d > max_denominator, on ints: the closer of the best lower and
-    upper approximations from the continued fraction of n/d, the convergent
-    p1/q1 on a tie."""
+def _limit_denominator(n: int, d: int, max_denominator: int) -> tuple[int, int]:
+    """Fraction(n, d).limit_denominator(max_denominator) for reduced n/d, as
+    a reduced (numerator, denominator) pair: n/d itself if d is within the
+    limit, else the closer of the best lower and upper approximations from
+    the continued fraction of n/d, the convergent p1/q1 on a tie."""
+    if d <= max_denominator:
+        return n, d
     p0, q0, p1, q1 = 0, 1, 1, 0
     num, den = n, d
     while True:
@@ -488,8 +534,8 @@ def _limit_denominator(n: int, d: int, max_denominator: int) -> Fraction:
     p2, q2 = p0 + k * p1, q0 + k * q1
     # |p1/q1 - n/d| <= |p2/q2 - n/d|, both sides times d q1 q2
     if abs(p1 * d - n * q1) * q2 <= abs(p2 * d - n * q2) * q1:
-        return Fraction(p1, q1)
-    return Fraction(p2, q2)
+        return p1, q1
+    return p2, q2
 
 
 def round_arcset(

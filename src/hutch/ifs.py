@@ -13,6 +13,7 @@ from typing import Iterator, Sequence
 from .circle import (
     ArcSet,
     CirclePoint,
+    RoundedRuns,
     _normalize_segments_flagged,
     gap_radius,
     hausdorff,
@@ -20,7 +21,6 @@ from .circle import (
     rational_str,
     round_arcset,
     round_segments,
-    segment_runs,
 )
 from .homeo import PLHomeo, Word
 
@@ -73,12 +73,22 @@ class PrecisionPolicy:
     Exact arithmetic is the default (all fields off).  denominator_limit
     rounds endpoints to denominators <= D after each step; coarsen_eta fills
     gaps shorter than eta; arc_cap aborts (ResourceCapError) when a step
-    produces more arcs than the cap while coarsening is off.
+    produces more arcs than the cap while coarsening is off.  Values out of
+    range (D < 1, eta <= 0, cap < 1) raise ValueError naming the field.
     """
 
     denominator_limit: int | None = None
     coarsen_eta: Fraction | None = None
     arc_cap: int = 100_000
+
+    def __post_init__(self) -> None:
+        limit, eta = self.denominator_limit, self.coarsen_eta
+        if limit is not None and limit < 1:
+            raise ValueError(f"denominator_limit must be None or >= 1, got {limit}")
+        if eta is not None and eta <= 0:
+            raise ValueError(f"coarsen_eta must be None or > 0, got {eta}")
+        if self.arc_cap < 1:
+            raise ValueError(f"arc_cap must be >= 1, got {self.arc_cap}")
 
     def apply(self, a: ArcSet) -> tuple[ArcSet, bool]:
         """Round and coarsen a in one normalization pass; returns
@@ -129,15 +139,16 @@ def hutchinson_step(
     """One Hutchinson step with the policy's rounding and coarsening applied
     in the same normalization pass; returns (F(A) processed, coarsened?)."""
     segments = _images(system.generators, a)
-    if policy.denominator_limit is not None:
-        # round only the ends of the exact runs: the same union, see segment_runs
-        segments = segment_runs(segments)
-    return policy._capped(
-        *_normalize_segments_flagged(
-            round_segments(segments, policy.denominator_limit),
-            policy.coarsen_eta,
+    limit, eta = policy.denominator_limit, policy.coarsen_eta
+    if limit is None:
+        return policy._capped(
+            *_normalize_segments_flagged(round_segments(segments, limit), eta)
         )
-    )
+    # round only the ends of the runs that survive the gaps rounding cannot
+    # reopen: the same set and flag, see RoundedRuns
+    runs = RoundedRuns(segments, limit, eta)
+    out, coarsened = _normalize_segments_flagged(runs, eta)
+    return policy._capped(out, coarsened or runs.filled)
 
 
 def orbit(

@@ -11,6 +11,8 @@ from hutch.circle import (
     Arc,
     ArcSet,
     CirclePoint,
+    RoundedRuns,
+    _limit_denominator,
     _normalize_segments_flagged,
     arc,
     arcset_from_obj,
@@ -24,7 +26,6 @@ from hutch.circle import (
     normalize,
     point_set,
     round_segments,
-    segment_runs,
     union,
 )
 from hutch.ifs import PrecisionPolicy
@@ -553,25 +554,70 @@ def test_round_segments_rule_is_monotone_and_shift_invariant(data, limit):
 
 
 @settings(max_examples=300)
-@given(
-    lift_segments(),
-    st.sampled_from(LIMITS),
-    st.sampled_from([None, F(1, 2048), F(1, 2)]),
-)
-def test_rounding_runs_matches_rounding_segments(segments, limit, eta):
-    runs = list(segment_runs(iter(segments)))
-    # the runs: sorted segments inside [0, 1], apart, covering what the
-    # segments cover
+@given(st.data(), st.sampled_from(LIMITS))
+def test_limit_denominator_moves_a_point_by_at_most_half_a_step(data, limit):
+    # the bound RoundedRuns rests on: the rounded point is a nearest rational
+    # of denominator <= D, and those lie at most 1/D apart
+    x = data.draw(rounding_points(limit))
+    n, d = _limit_denominator(x.numerator, x.denominator, limit)
+    assert d <= limit and gcd(n, d) == 1
+    assert F(n, d) == x.limit_denominator(limit)
+    assert abs(F(n, d) - x) <= F(1, 2 * limit)
+
+
+ETAS = [None, F(1, 2048), F(1, 3), F(1, 2), F(1)]
+OFF = F(1, 2**100)
+
+
+@st.composite
+def margin_segments(draw, limit, eta):
+    """Segments with ends at rounding points, each starting after the last
+    by a gap at a margin RoundedRuns decides on: 1/D, eta - 1/D or
+    eta + 1/D, exactly or 2^-100 either side."""
+    widths = [F(1, limit)]
+    if eta is not None:
+        widths += [eta - F(1, limit), eta + F(1, limit)]
+    gaps = [w + off for w in widths for off in (0, OFF, -OFF) if w + off > 0]
+    lo = draw(rounding_points(limit))
+    segments = []
+    for _ in range(draw(st.integers(1, 4))):
+        end = draw(rounding_points(limit))
+        length = draw(st.sampled_from([F(0), (end - lo) % 1]))
+        segments.append((lo, lo + length))
+        lo += length + draw(st.sampled_from(gaps))
+    return segments
+
+
+@st.composite
+def rounding_cases(draw):
+    """(segments, D, eta): any lift-line segments, or margin segments."""
+    limit = draw(st.sampled_from(LIMITS))
+    eta = draw(st.sampled_from(ETAS))
+    segments = draw(st.one_of(lift_segments(), margin_segments(limit, eta)))
+    return segments, limit, eta
+
+
+@settings(max_examples=300)
+@given(rounding_cases())
+# a gap of 1/D that rounds to eta: not filled, so not merged before rounding
+@example(([(F(1, 6) - OFF,) * 2, (F(1, 2) - OFF,) * 2], 3, F(1, 2)))
+# a gap of 1 - 1/D whose ends round to 0 and 1: not merged at eta = 1
+@example(([(F(1, 4),) * 2, (F(3, 4),) * 2], 2, F(1)))
+# merged gaps of at most 1/D whose ends round apart, or together
+@example(([(F(0), F(1, 5)), (F(1, 5) + F(1, 32), F(1, 3))], 16, F(1, 3)))
+@example(([(F(0), F(1, 5)), (F(1, 5) + F(1, 2**20), F(1, 3))], 16, F(1, 3)))
+def test_rounding_runs_matches_rounding_segments(case):
+    segments, limit, eta = case
+    rounded = RoundedRuns(iter(segments), limit, eta)
+    runs = list(rounded)
+    # rounded runs inside [0, 1], in order
     assert all(0 <= lo <= hi <= 1 for lo, hi in runs)
-    assert all(a[1] < b[0] for a, b in zip(runs, runs[1:]))
-    points = [CirclePoint(v) for seg in segments + runs for v in seg]
-    eps = F(1, 10**40)
-    points += [p + e for p in points for e in (eps, -eps)]
-    for p in points:
-        assert covered(runs, p) == covered(segments, p)
-    assert _normalize_segments_flagged(
-        round_segments(runs, limit), eta
-    ) == _normalize_segments_flagged(round_segments(segments, limit), eta)
+    assert all(v.denominator <= limit for run in runs for v in run)
+    assert all(a[1] <= b[0] for a, b in zip(runs, runs[1:]))
+    out, coarsened = _normalize_segments_flagged(runs, eta)
+    assert (out, coarsened or rounded.filled) == _normalize_segments_flagged(
+        round_segments(segments, limit), eta
+    )
 
 
 # -- serialization -----------------------------------------------------------------

@@ -501,15 +501,27 @@ def test_cli_flag_overrides(tmp_path):
     assert params["tol"] == "1/8"
 
 
-def test_theorem2_script_reproduces_committed_results(tmp_path):
-    # bundle.json and the CSVs are deterministic; timings.json is wall clock
-    path = ROOT / "scripts" / "run_theorem2.py"
-    spec = importlib.util.spec_from_file_location("run_theorem2", path)
+def _script(name: str):
+    path = ROOT / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
+    return script
+
+
+def test_theorem2_script_reproduces_committed_results(tmp_path):
+    # bundle.json and the CSVs are deterministic; timings.json is wall clock
+    script = _script("run_theorem2")
     run(script.config(tmp_path))
     committed = ROOT / "results" / "theorem2"
     names = ["bundle.json"] + sorted(p.name for p in committed.glob("*.csv"))
     assert len(names) == 5
     for name in names:
         assert (tmp_path / name).read_bytes() == (committed / name).read_bytes(), name
+
+
+def test_theorem1_script_config_is_the_committed_one(tmp_path):
+    # the full run is too slow for this suite; its config is pinned instead
+    echo = _script("run_theorem1").config(tmp_path).echo()
+    committed = json.loads((ROOT / "results" / "theorem1" / "bundle.json").read_text())
+    assert echo == committed["config"]

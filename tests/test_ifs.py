@@ -6,22 +6,27 @@ import pytest
 from hutch.circle import (
     Arc,
     CirclePoint,
+    _normalize_segments_flagged,
     full_circle,
     gap_radius,
     is_subset,
     normalize,
     point_set,
+    round_segments,
     union,
 )
 from hutch.homeo import PLHomeo, Word
 from hutch.ifs import (
     IFS,
+    PROBE_POLICY,
     PrecisionPolicy,
     ResourceCapError,
     VERDICT_CONVERGED,
     VERDICT_NOT_CONVERGED,
+    _images,
     attractor_probe,
     hutchinson,
+    hutchinson_step,
     invariance_check,
     inverse_system,
     iterate,
@@ -132,6 +137,35 @@ def test_orbit_consumers_agree(theorem2):
     assert n < len(traj)
     assert report.arc_counts == traj.arc_counts[:n]
     assert report.coarsened == traj.coarsened[:n]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("denominator_limit", 0), ("coarsen_eta", F(-1)), ("coarsen_eta", F(0)),
+     ("arc_cap", 0)],
+)
+def test_precision_policy_rejects_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        PrecisionPolicy(**{field: value})
+
+
+def test_probe_policy_orbits_match_rounding_every_segment(theorem1):
+    # the reference step rounds every image segment, then normalises
+    limit, eta = PROBE_POLICY.denominator_limit, PROBE_POLICY.coarsen_eta
+    flags = set()
+    for system in (theorem1.forward, theorem1.backward):
+        for k in (3, 10):
+            current, _ = PROBE_POLICY.apply(point_set([CirclePoint(F(k, 16))]))
+            for _ in range(10):
+                images = _images(system.generators, current)
+                expected = _normalize_segments_flagged(
+                    round_segments(images, limit), eta
+                )
+                step = hutchinson_step(system, current, PROBE_POLICY)
+                assert step == expected
+                flags.add(step[1])
+                current = step[0]
+    assert flags == {False, True}
 
 
 # -- word_map ---------------------------------------------------------------------
