@@ -299,10 +299,11 @@ def _merged_runs(
 class RoundedRuns:
     """The runs of the union of lift-line segments inside [0, 1], joined
     across the gaps that rounding cannot reopen, with their ends rounded
-    (_limit_denominator), made as they are pulled.  Once pulling starts,
-    filled says whether a gap so joined is filled.  Normalized with
-    fill_eta, with that flag or-ed in, they give the set and flag that
-    round_segments on the segments followed by the normaliser gives.
+    (_limit_denominator), made once iteration starts; filled then says
+    whether a gap so joined is filled.  Normalized with fill_eta, with that
+    flag or-ed in, they give the set and flag that rounding each end of
+    each segment and then normalizing gives.  With no limit (None) the
+    segments pass through as they are, and filled stays False.
 
     The rule is monotone and commutes with integer shifts, so the exact
     runs round to the runs of the rounded segments, in order, and 0 and 1
@@ -317,7 +318,7 @@ class RoundedRuns:
     def __init__(
         self,
         raw: Iterable[tuple[Fraction, Fraction]],
-        max_denominator: int,
+        max_denominator: int | None,
         fill_eta: Fraction | None,
     ) -> None:
         self.raw = raw
@@ -327,14 +328,18 @@ class RoundedRuns:
 
     def __iter__(self) -> Iterator[tuple[Fraction, Fraction]]:
         d, eta = self.max_denominator, self.fill_eta
+        if d is None:
+            return iter(self.raw)
         en, ed = (0, 1) if eta is None else (eta.numerator, eta.denominator)
         # merge the gaps shorter than fill_eta - 1/D
         merged, self.filled = _merged_runs(self.raw, en * d - ed, ed * d, d)
-        for sn, sd, tn, td in merged:
-            yield (
+        return (
+            (
                 Fraction(*_limit_denominator(sn, sd, d)),
                 Fraction(*_limit_denominator(tn, td, d)),
             )
+            for sn, sd, tn, td in merged
+        )
 
 
 def normalize(raw: Sequence[Arc]) -> ArcSet:
@@ -485,35 +490,6 @@ def gap_radius(a: ArcSet) -> Fraction:
     return Fraction(num, den)
 
 
-def round_segments(
-    raw: Iterable[tuple[Fraction, Fraction]], max_denominator: int | None
-) -> Iterator[tuple[Fraction, Fraction]]:
-    """Round lift-line segments (lo, hi) to endpoints with denominator <=
-    max_denominator; None passes them through unchanged.
-
-    The one endpoint rule: lo is rounded, lengths 0 and 1 are kept exact,
-    and hi is rounded, as Fraction.limit_denominator would: to a nearest
-    rational, so the rule is monotone and never inverts a segment.
-    """
-    if max_denominator is None:
-        yield from raw
-        return
-    if max_denominator < 1:
-        raise ValueError("max_denominator should be at least 1")
-    for lo, hi in raw:
-        ln, ld = lo.numerator, lo.denominator
-        hn, hd = hi.numerator, hi.denominator
-        if ld > max_denominator:
-            lo = Fraction(*_limit_denominator(ln, ld, max_denominator))
-        if hd == ld and hn == ln:
-            hi = lo
-        elif hd == ld and hn == ln + ld:
-            hi = lo + 1
-        elif hd > max_denominator:
-            hi = Fraction(*_limit_denominator(hn, hd, max_denominator))
-        yield lo, hi
-
-
 def _limit_denominator(n: int, d: int, max_denominator: int) -> tuple[int, int]:
     """Fraction(n, d).limit_denominator(max_denominator) for reduced n/d, as
     a reduced (numerator, denominator) pair: n/d itself if d is within the
@@ -541,16 +517,16 @@ def _limit_denominator(n: int, d: int, max_denominator: int) -> tuple[int, int]:
 def round_arcset(
     a: ArcSet, max_denominator: int | None, fill_eta: Fraction | None
 ) -> tuple[ArcSet, bool]:
-    """Re-canonicalize a with its endpoints rounded (round_segments) and its
+    """Re-canonicalize a with its endpoints rounded (RoundedRuns) and its
     gaps shorter than fill_eta filled, in one normalization pass; the flag is
     True iff gap-filling changed the set."""
-    return _normalize_segments_flagged(
-        round_segments(
-            ((p.start.value, p.start.value + p.length) for p in a.arcs),
-            max_denominator,
-        ),
+    runs = RoundedRuns(
+        ((p.start.value, p.start.value + p.length) for p in a.arcs),
+        max_denominator,
         fill_eta,
     )
+    out, filled = _normalize_segments_flagged(runs, fill_eta)
+    return out, filled or runs.filled
 
 
 def arcset_to_obj(a: ArcSet) -> list[dict[str, str]]:

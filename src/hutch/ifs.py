@@ -20,7 +20,6 @@ from .circle import (
     normalize_segments,
     rational_str,
     round_arcset,
-    round_segments,
 )
 from .homeo import PLHomeo, Word
 
@@ -72,9 +71,10 @@ class PrecisionPolicy:
 
     Exact arithmetic is the default (all fields off).  denominator_limit
     rounds endpoints to denominators <= D after each step; coarsen_eta fills
-    gaps shorter than eta; arc_cap aborts (ResourceCapError) when a step
-    produces more arcs than the cap while coarsening is off.  Values out of
-    range (D < 1, eta <= 0, cap < 1) raise ValueError naming the field.
+    gaps shorter than eta; arc_cap makes orbit abort (ResourceCapError) at a
+    set of more arcs than the cap while coarsening is off.  Values of the
+    wrong type (D and cap not int, eta not Fraction) or out of range (D < 1,
+    eta <= 0, cap < 1) raise ValueError naming the field.
     """
 
     denominator_limit: int | None = None
@@ -82,27 +82,13 @@ class PrecisionPolicy:
     arc_cap: int = 100_000
 
     def __post_init__(self) -> None:
-        limit, eta = self.denominator_limit, self.coarsen_eta
-        if limit is not None and limit < 1:
-            raise ValueError(f"denominator_limit must be None or >= 1, got {limit}")
-        if eta is not None and eta <= 0:
-            raise ValueError(f"coarsen_eta must be None or > 0, got {eta}")
-        if self.arc_cap < 1:
-            raise ValueError(f"arc_cap must be >= 1, got {self.arc_cap}")
-
-    def apply(self, a: ArcSet) -> tuple[ArcSet, bool]:
-        """Round and coarsen a in one normalization pass; returns
-        (processed set, whether coarsening changed it)."""
-        return self._capped(
-            *round_arcset(a, self.denominator_limit, self.coarsen_eta)
-        )
-
-    def _capped(self, a: ArcSet, coarsened: bool) -> tuple[ArcSet, bool]:
-        if self.coarsen_eta is None and len(a.arcs) > self.arc_cap:
-            raise ResourceCapError(
-                f"arc count {len(a.arcs)} exceeds cap {self.arc_cap}"
-            )
-        return a, coarsened
+        limit, eta, cap = self.denominator_limit, self.coarsen_eta, self.arc_cap
+        if limit is not None and (type(limit) is not int or limit < 1):
+            raise ValueError(f"denominator_limit must be None or an int >= 1, got {limit}")
+        if eta is not None and (not isinstance(eta, Fraction) or eta <= 0):
+            raise ValueError(f"coarsen_eta must be None or a Fraction > 0, got {eta}")
+        if type(cap) is not int or cap < 1:
+            raise ValueError(f"arc_cap must be an int >= 1, got {cap}")
 
     def to_obj(self) -> dict:
         return {
@@ -137,18 +123,13 @@ def hutchinson_step(
     system: IFS, a: ArcSet, policy: PrecisionPolicy
 ) -> tuple[ArcSet, bool]:
     """One Hutchinson step with the policy's rounding and coarsening applied
-    in the same normalization pass; returns (F(A) processed, coarsened?)."""
-    segments = _images(system.generators, a)
-    limit, eta = policy.denominator_limit, policy.coarsen_eta
-    if limit is None:
-        return policy._capped(
-            *_normalize_segments_flagged(round_segments(segments, limit), eta)
-        )
-    # round only the ends of the runs that survive the gaps rounding cannot
-    # reopen: the same set and flag, see RoundedRuns
-    runs = RoundedRuns(segments, limit, eta)
+    in the same normalization pass; returns (F(A) processed, coarsened?).
+    The arc cap is orbit's to check."""
+    eta = policy.coarsen_eta
+    runs = RoundedRuns(_images(system.generators, a), policy.denominator_limit, eta)
+    # ifs's own binding, not circle's: tracers count segments through it as step work
     out, coarsened = _normalize_segments_flagged(runs, eta)
-    return policy._capped(out, coarsened or runs.filled)
+    return out, coarsened or runs.filled
 
 
 def orbit(
@@ -156,12 +137,16 @@ def orbit(
 ) -> Iterator[tuple[ArcSet, bool]]:
     """Yield (F^n(A) processed, coarsened?) for n = 0, 1, 2, ...
 
-    Step 0 is the policy applied to A; every later step is one
-    hutchinson_step.  Only the current set is held, and a step runs only
-    when it is pulled, so each consumer keeps its own stopping rule.
+    Step 0 is A rounded and coarsened (round_arcset); every later step is
+    one hutchinson_step.  Each set is checked against the arc cap before it
+    is yielded.  Only the current set is held, and a step runs only when it
+    is pulled, so each consumer keeps its own stopping rule.
     """
-    current, coarse = policy.apply(start)
+    limit, eta, cap = policy.denominator_limit, policy.coarsen_eta, policy.arc_cap
+    current, coarse = round_arcset(start, limit, eta)
     while True:
+        if eta is None and len(current.arcs) > cap:
+            raise ResourceCapError(f"arc count {len(current.arcs)} exceeds cap {cap}")
         yield current, coarse
         current, coarse = hutchinson_step(system, current, policy)
 

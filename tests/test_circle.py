@@ -25,10 +25,9 @@ from hutch.circle import (
     is_subset,
     normalize,
     point_set,
-    round_segments,
+    round_arcset,
     union,
 )
-from hutch.ifs import PrecisionPolicy
 from conftest import random_arcset
 
 F = Fraction
@@ -427,15 +426,15 @@ def test_gap_radius_is_distance_to_full():
         assert gap_radius(a) == hausdorff(a, full_circle())
 
 
-# -- precision passes (PrecisionPolicy.apply: round, then fill gaps) ---------------
+# -- precision passes (round_arcset: round, then fill gaps) -------------------------
 
 
 def coarsen(a: ArcSet, eta: Fraction) -> tuple[ArcSet, bool]:
-    return PrecisionPolicy(coarsen_eta=eta).apply(a)
+    return round_arcset(a, None, eta)
 
 
 def limit_denominators(a: ArcSet, max_denominator: int) -> ArcSet:
-    return PrecisionPolicy(denominator_limit=max_denominator).apply(a)[0]
+    return round_arcset(a, max_denominator, None)[0]
 
 
 def test_coarsen_fills_small_gaps():
@@ -475,34 +474,6 @@ def test_limit_denominators_preserves_degenerate_lengths():
     assert limit_denominators(full_circle(), 4).is_full
 
 
-@given(
-    st.fractions(min_value=-3, max_value=3),
-    st.integers(-10**12, 10**12),
-    st.integers(1, 10**12),
-    st.integers(1, 2**16),
-)
-def test_round_segments_matches_limit_denominator(x, num, den, max_denominator):
-    # x is mostly small; num/den reaches denominators far above the limit
-    for lo in (x, F(num, den)):
-        hi = lo + F(1, 3)
-        out_lo, out_hi = next(round_segments([(lo, hi)], max_denominator))
-        assert out_lo == lo.limit_denominator(max_denominator)
-        assert out_hi == max(out_lo, hi.limit_denominator(max_denominator))
-
-
-@pytest.mark.parametrize(
-    "value, max_denominator, expected",
-    [(F(1, 2), 1, F(0)), (F(-1, 4), 2, F(0)), (F(-3, 4), 2, F(-1))],
-)
-def test_round_segments_tie_rule(value, max_denominator, expected):
-    # equidistant from both bounds: the convergent is taken, as in the stdlib
-    assert value.limit_denominator(max_denominator) == expected
-    assert next(round_segments([(value, value)], max_denominator)) == (
-        expected,
-        expected,
-    )
-
-
 LIMITS = [1, 2, 3, 16, 2**16]
 
 
@@ -532,37 +503,27 @@ def rounding_points(draw, limit):
 
 
 def rounded(x: Fraction, limit: int) -> Fraction:
-    return next(round_segments([(x, x)], limit))[0]
+    return F(*_limit_denominator(x.numerator, x.denominator, limit))
 
 
 @settings(max_examples=300)
-@given(st.data(), st.sampled_from(LIMITS))
-def test_round_segments_rule_is_monotone_and_shift_invariant(data, limit):
-    x = data.draw(rounding_points(limit))
-    steps = [0, F(1, 2**100), F(1, 2 * limit * limit), F(1, limit)]
-    step = data.draw(st.sampled_from(steps))
-    y = data.draw(st.one_of(rounding_points(limit), st.just(x + step)))
-    x, y = min(x, y), max(x, y)
-    rx, ry = rounded(x, limit), rounded(y, limit)
-    assert rx == x.limit_denominator(limit)
-    assert rx <= ry
-    for k in (-3, 1, 7):
-        assert rounded(x + k, limit) == rx + k
-    # so a segment's ends round on their own, and hi never falls below lo
-    if y - x <= 1:
-        assert next(round_segments([(x, y)], limit)) == (rx, ry)
-
-
-@settings(max_examples=300)
-@given(st.data(), st.sampled_from(LIMITS))
+@given(st.data(), st.one_of(st.sampled_from(LIMITS), st.integers(1, 2**16)))
 def test_limit_denominator_moves_a_point_by_at_most_half_a_step(data, limit):
-    # the bound RoundedRuns rests on: the rounded point is a nearest rational
-    # of denominator <= D, and those lie at most 1/D apart
+    # what RoundedRuns rests on: the rounded point is the stdlib's, a nearest
+    # rational of denominator <= D (those lie at most 1/D apart), and the
+    # rule is monotone and commutes with integer shifts
     x = data.draw(rounding_points(limit))
     n, d = _limit_denominator(x.numerator, x.denominator, limit)
     assert d <= limit and gcd(n, d) == 1
     assert F(n, d) == x.limit_denominator(limit)
     assert abs(F(n, d) - x) <= F(1, 2 * limit)
+    steps = [0, F(1, 2**100), F(1, 2 * limit * limit), F(1, limit)]
+    step = data.draw(st.sampled_from(steps))
+    y = data.draw(st.one_of(rounding_points(limit), st.just(x + step)))
+    lo, hi = min(x, y), max(x, y)
+    assert rounded(lo, limit) <= rounded(hi, limit)
+    for k in (-3, 1, 7):
+        assert rounded(x + k, limit) == F(n, d) + k
 
 
 ETAS = [None, F(1, 2048), F(1, 3), F(1, 2), F(1)]
@@ -590,9 +551,12 @@ def margin_segments(draw, limit, eta):
 
 @st.composite
 def rounding_cases(draw):
-    """(segments, D, eta): any lift-line segments, or margin segments."""
-    limit = draw(st.sampled_from(LIMITS))
+    """(segments, D, eta): any lift-line segments, or margin segments; D
+    None (no rounding) takes lift-line segments only."""
+    limit = draw(st.sampled_from(LIMITS + [None]))
     eta = draw(st.sampled_from(ETAS))
+    if limit is None:
+        return draw(lift_segments()), limit, eta
     segments = draw(st.one_of(lift_segments(), margin_segments(limit, eta)))
     return segments, limit, eta
 
@@ -606,17 +570,28 @@ def rounding_cases(draw):
 # merged gaps of at most 1/D whose ends round apart, or together
 @example(([(F(0), F(1, 5)), (F(1, 5) + F(1, 32), F(1, 3))], 16, F(1, 3)))
 @example(([(F(0), F(1, 5)), (F(1, 5) + F(1, 2**20), F(1, 3))], 16, F(1, 3)))
+# ties, which round to the convergent: 1/2 to 0, -1/4 to 0, -3/4 to -1
+@example(([(F(1, 2),) * 2], 1, None))
+@example(([(F(-1, 4),) * 2, (F(-3, 4),) * 2], 2, None))
 def test_rounding_runs_matches_rounding_segments(case):
     segments, limit, eta = case
-    rounded = RoundedRuns(iter(segments), limit, eta)
-    runs = list(rounded)
-    # rounded runs inside [0, 1], in order
-    assert all(0 <= lo <= hi <= 1 for lo, hi in runs)
-    assert all(v.denominator <= limit for run in runs for v in run)
-    assert all(a[1] <= b[0] for a, b in zip(runs, runs[1:]))
-    out, coarsened = _normalize_segments_flagged(runs, eta)
-    assert (out, coarsened or rounded.filled) == _normalize_segments_flagged(
-        round_segments(segments, limit), eta
+    runs = RoundedRuns(iter(segments), limit, eta)
+    pulled = list(runs)
+    if limit is None:
+        assert pulled == segments and not runs.filled
+        reference = segments
+    else:
+        # rounded runs inside [0, 1], in order
+        assert all(0 <= lo <= hi <= 1 for lo, hi in pulled)
+        assert all(v.denominator <= limit for run in pulled for v in run)
+        assert all(a[1] <= b[0] for a, b in zip(pulled, pulled[1:]))
+        reference = [
+            (lo.limit_denominator(limit), hi.limit_denominator(limit))
+            for lo, hi in segments
+        ]
+    out, coarsened = _normalize_segments_flagged(pulled, eta)
+    assert (out, coarsened or runs.filled) == _normalize_segments_flagged(
+        reference, eta
     )
 
 

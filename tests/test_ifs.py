@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import pytest
 
+import hutch.circle as circle
+import hutch.ifs as ifs
 from hutch.circle import (
     Arc,
     CirclePoint,
@@ -12,11 +14,11 @@ from hutch.circle import (
     is_subset,
     normalize,
     point_set,
-    round_segments,
     union,
 )
 from hutch.homeo import PLHomeo, Word
 from hutch.ifs import (
+    EXACT,
     IFS,
     PROBE_POLICY,
     PrecisionPolicy,
@@ -30,6 +32,7 @@ from hutch.ifs import (
     invariance_check,
     inverse_system,
     iterate,
+    orbit,
     orbit_density_probe,
     word_map,
 )
@@ -110,8 +113,15 @@ def test_iterate_theorem2_is_nested(theorem2):
 
 def test_iterate_resource_cap(theorem2):
     policy = PrecisionPolicy(arc_cap=4)
+    # at a later step
+    start = point_set([CirclePoint(F(1, 3))])
+    assert iterate(theorem2, start, 0, policy).arc_counts == (1,)
     with pytest.raises(ResourceCapError):
-        iterate(theorem2, point_set([CirclePoint(F(1, 3))]), 8, policy)
+        iterate(theorem2, start, 8, policy)
+    # at step 0: the start set itself is over the cap
+    start = point_set([CirclePoint(F(k, 8)) for k in range(5)])
+    with pytest.raises(ResourceCapError, match="arc count 5 exceeds cap 4"):
+        iterate(theorem2, start, 0, policy)
 
 
 def test_iterate_records_coarsening(theorem2):
@@ -142,30 +152,65 @@ def test_orbit_consumers_agree(theorem2):
 @pytest.mark.parametrize(
     "field, value",
     [("denominator_limit", 0), ("coarsen_eta", F(-1)), ("coarsen_eta", F(0)),
-     ("arc_cap", 0)],
+     ("arc_cap", 0), ("denominator_limit", 2.5), ("denominator_limit", True),
+     ("coarsen_eta", 0.001), ("coarsen_eta", "1/2"), ("arc_cap", 2.5),
+     ("arc_cap", True)],
 )
 def test_precision_policy_rejects_bad_values(field, value):
     with pytest.raises(ValueError, match=field):
         PrecisionPolicy(**{field: value})
 
 
-def test_probe_policy_orbits_match_rounding_every_segment(theorem1):
-    # the reference step rounds every image segment, then normalises
+def test_probe_policy_orbits_match_rounding_every_segment(theorem1, theorem2):
+    # the reference step rounds both ends of every image segment, then
+    # normalises; in exact mode it is the plain Hutchinson operator
     limit, eta = PROBE_POLICY.denominator_limit, PROBE_POLICY.coarsen_eta
     flags = set()
     for system in (theorem1.forward, theorem1.backward):
         for k in (3, 10):
-            current, _ = PROBE_POLICY.apply(point_set([CirclePoint(F(k, 16))]))
+            start = point_set([CirclePoint(F(k, 16))])
+            current, _ = next(orbit(system, start, PROBE_POLICY))
             for _ in range(10):
-                images = _images(system.generators, current)
-                expected = _normalize_segments_flagged(
-                    round_segments(images, limit), eta
-                )
+                rounded = [
+                    (lo.limit_denominator(limit), hi.limit_denominator(limit))
+                    for lo, hi in _images(system.generators, current)
+                ]
+                expected = _normalize_segments_flagged(rounded, eta)
                 step = hutchinson_step(system, current, PROBE_POLICY)
                 assert step == expected
                 flags.add(step[1])
                 current = step[0]
     assert flags == {False, True}
+    current = point_set([CirclePoint(F(1, 3))])
+    for _ in range(8):
+        step = hutchinson_step(theorem2, current, EXACT)
+        assert step == (hutchinson(theorem2, current), False)
+        current = step[0]
+
+
+def test_steps_normalise_through_the_ifs_binding_and_step_zero_through_circle(
+    theorem2, monkeypatch
+):
+    # a tracer wraps both bindings and counts what goes through ifs's as
+    # step work, so step 0 must not go through it, nor a step around it
+    calls = {"ifs": 0, "circle": 0}
+    for name, module in (("ifs", ifs), ("circle", circle)):
+        real = module._normalize_segments_flagged
+
+        def counted(raw, fill_eta=None, real=real, name=name):
+            calls[name] += 1
+            return real(raw, fill_eta)
+
+        monkeypatch.setattr(module, "_normalize_segments_flagged", counted)
+    start = point_set([CirclePoint(F(1, 3))])
+    for policy in (EXACT, PROBE_POLICY):
+        calls.update(ifs=0, circle=0)
+        steps = orbit(theorem2, start, policy)
+        next(steps)
+        assert calls == {"ifs": 0, "circle": 1}
+        next(steps)
+        next(steps)
+        assert calls == {"ifs": 2, "circle": 1}
 
 
 # -- word_map ---------------------------------------------------------------------
