@@ -19,12 +19,12 @@ RationalLike = Union[Fraction, int, str]
 def frac(value: RationalLike) -> Fraction:
     """Coerce ints, Fractions and exact 'p/q' strings to Fraction.
 
-    Decimal and float syntax is rejected: only exact rationals travel
-    through this library.
+    Decimal and float syntax is rejected, and so are booleans (an int
+    subclass): only exact rationals travel through this library.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         s = value.strip()

@@ -10,6 +10,7 @@ probes have run.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -37,6 +38,7 @@ from .ifs import (
     PROBE_POLICY,
     PrecisionPolicy,
     ResourceCapError,
+    Step,
     attractor_probe,
     invariance_check,
     inverse_system,
@@ -244,7 +246,7 @@ def parse_config(obj: dict, overrides: dict | None = None) -> ExperimentConfig:
     if not isinstance(precision_obj, dict):
         raise ConfigError("field 'precision': expected JSON object")
     precision_obj = dict(precision_obj)
-    for key in ("denominator_limit", "coarsen", "arc_cap"):
+    for key in ("denominator_limit", "coarsen"):
         if overrides.get(key) is not None:
             precision_obj[key] = overrides[key]
     precision = _resolve_precision(precision_obj, system)
@@ -325,17 +327,25 @@ def resolve_system(config: ExperimentConfig) -> ResolvedSystem:
             )
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"field 'system_params': {exc}") from None
-    path = Path(source["path"])
+    obj = _read_json(source["path"], "system.path")
     try:
-        obj = json.loads(path.read_text())
         forward = IFS.from_obj(obj)
-    except FileNotFoundError:
-        raise ConfigError(f"field 'system.path': no such file {path}") from None
-    except OSError as exc:
-        raise ConfigError(f"field 'system.path': cannot read {path}: {exc.strerror}") from None
     except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
         raise ConfigError(f"field 'system.path': cannot load IFS: {exc}") from None
     return ResolvedSystem(forward, inverse_system(forward))
+
+
+def _read_json(path: str, name: str) -> Any:
+    """The JSON value in the file at path; a missing, unreadable or malformed
+    file (a directory, not UTF-8, not JSON) is a ConfigError naming the field."""
+    try:
+        return json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise ConfigError(f"field '{name}': no such file {path}") from None
+    except OSError as exc:
+        raise ConfigError(f"field '{name}': cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError
+        raise ConfigError(f"field '{name}': invalid JSON: {exc}") from None
 
 
 # -- probe kinds ---------------------------------------------------------------
@@ -351,7 +361,7 @@ class _Kind(NamedTuple):
     fields: dict  # field name -> (parser, default), as _fields reads them
     roles: dict  # flag ("max_iter", "tol", "start") -> the field it sets
     run: Callable  # (spec, target IFS, ResolvedSystem, PrecisionPolicy) -> report
-    rows: Callable  # report -> CSV rows under header
+    rows: Callable  # report as _json renders it -> CSV rows under header
     header: tuple = _HEADER
 
 
@@ -366,18 +376,13 @@ def _start(spec: dict) -> ArcSet:
     return point_set([CirclePoint(frac(spec["start"]))])
 
 
-def _trajectory_obj(traj) -> dict:
+def _run_iterate(spec, target, system, policy) -> dict:
+    """Every step of the trajectory, then its last set."""
+    traj = iterate(target, _start(spec), spec["steps"], policy)
+    steps = zip(traj.sets, traj.arc_counts, traj.coarsened)
     return {
-        "steps": [
-            {
-                "n": i,
-                "gap_radius": rational_str(gap_radius(traj.sets[i])),
-                "arc_count": traj.arc_counts[i],
-                "coarsened": traj.coarsened[i],
-            }
-            for i in range(len(traj.sets))
-        ],
-        "final_set": arcset_to_obj(traj.sets[-1]),
+        "steps": [Step(n, gap_radius(s), count, c) for n, (s, count, c) in enumerate(steps)],
+        "final_set": traj.sets[-1],
     }
 
 
@@ -395,7 +400,7 @@ _KINDS = {
         roles={"max_iter": "budget", "tol": "tol", "start": "start"},
         run=lambda spec, target, system, policy: attractor_probe(
             target, _start(spec), budget=spec["budget"], tol=frac(spec["tol"]), policy=policy
-        ).to_obj(),
+        ),
         rows=_step_rows,
         header=_STEP_HEADER,
     ),
@@ -425,7 +430,7 @@ _KINDS = {
                 target, CirclePoint(frac(v)), [frac(d) for d in spec["deltas"]],
                 truncation=spec["truncation"], samples_per_delta=spec["samples_per_delta"],
                 policy=policy,
-            ).to_obj()
+            )
             for v in spec["base_points"]
         ]},
         rows=lambda report: [
@@ -444,7 +449,7 @@ _KINDS = {
             target,
             arcset_from_obj(spec["set"]) if "set" in spec else system.invariant_set,
             frac(spec["tol"]),
-        ).to_obj(),
+        ),
         rows=lambda report: [
             _row(f"generator_{i + 1}", dist, None, None)
             for i, dist in enumerate(report["distances"])
@@ -453,9 +458,7 @@ _KINDS = {
     "iterate": _Kind(
         fields={"start": (_rational, 0), "steps": (_integer(0), 16)},
         roles={"max_iter": "steps", "start": "start"},
-        run=lambda spec, target, system, policy: _trajectory_obj(
-            iterate(target, _start(spec), spec["steps"], policy)
-        ),
+        run=_run_iterate,
         rows=_step_rows,
         header=_STEP_HEADER,
     ),
@@ -466,7 +469,7 @@ _KINDS = {
         run=lambda spec, target, system, policy: orbit_density_probe(
             target, CirclePoint(frac(spec["start"])), depth=spec["depth"],
             epsilon=frac(spec["epsilon"]),
-        ).to_obj(),
+        ),
         rows=lambda report: [_row(
             f"epsilon={report['epsilon']}", report["largest_gap"], None, report["depth"]
         )],
@@ -479,7 +482,7 @@ _KINDS = {
             target, [frac(v) for v in spec["lengths"]],
             [CirclePoint(frac(v)) for v in spec["centers"]],
             truncation=spec["truncation"], policy=policy,
-        ).to_obj(),
+        ),
         rows=lambda report: [
             _row(f"center={entry['center']};length={entry['length']}", entry["evidence"],
                  entry["covering_time"], report["truncation"])
@@ -521,6 +524,30 @@ def _probe_csv(spec: dict, report: dict) -> str:
 
 
 # -- report bundle -------------------------------------------------------------
+# Reports are plain records; _json is the one place that renders them, so a
+# report's field names are its bundle keys.
+
+
+def _json(value: Any) -> Any:
+    """A probe report as bundle JSON: a rational becomes 'p/q', a point its
+    value, an arc set its arc list, a record (dataclass or NamedTuple) or
+    dict an object keyed by its field names, a tuple or list a list; other
+    values pass unchanged."""
+    if isinstance(value, Fraction):
+        return rational_str(value)
+    if isinstance(value, CirclePoint):
+        return rational_str(value.value)
+    if isinstance(value, ArcSet):
+        return arcset_to_obj(value)
+    if dataclasses.is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    elif isinstance(value, tuple) and hasattr(value, "_fields"):
+        value = value._asdict()
+    if isinstance(value, dict):
+        return {key: _json(v) for key, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_json(v) for v in value]
+    return value
 
 
 @dataclass
@@ -562,9 +589,9 @@ def run(config: ExperimentConfig) -> ReportBundle:
     for i, spec in enumerate(config.probes):
         started = time.perf_counter()
         try:
-            report = _KINDS[spec["probe"]].run(
+            report = _json(_KINDS[spec["probe"]].run(
                 spec, system.pick(spec["direction"]), system, config.precision
-            )
+            ))
         except ResourceCapError as exc:
             cap_error = exc
             bundle.reports.append(
@@ -672,14 +699,7 @@ def _add_common_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _load_config(args, extra_probes=None) -> ExperimentConfig:
-    raw: dict = {}
-    if args.config:
-        try:
-            raw = json.loads(Path(args.config).read_text())
-        except FileNotFoundError:
-            raise ConfigError(f"field '--config': no such file {args.config}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"field '--config': invalid JSON: {exc}")
+    raw = _read_json(args.config, "--config") if args.config else {}
     system = args.system
     if system and system not in ("theorem1", "theorem2"):
         system = {"path": system}
@@ -764,6 +784,8 @@ def main(argv: Sequence[str] | None = None) -> int:
                     raise ConfigError(f"field '--params': invalid JSON: {exc}")
                 if not isinstance(params, dict):
                     raise ConfigError("field '--params': expected JSON object")
+                if "probe" in params:
+                    raise ConfigError("field '--params': the probe kind is set by KIND")
                 spec.update(params)
             config = _load_config(args, extra_probes=[spec])
             bundle = run(config)

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .circle import (
     ArcSet,
@@ -200,16 +200,6 @@ class MinimalityReport:
     largest_gap: Fraction
     orbit_size: int
 
-    def to_obj(self) -> dict:
-        return {
-            "base_point": rational_str(self.base_point.value),
-            "depth": self.depth,
-            "epsilon": rational_str(self.epsilon),
-            "verdict": self.verdict,
-            "largest_gap": rational_str(self.largest_gap),
-            "orbit_size": self.orbit_size,
-        }
-
 
 def orbit_density_probe(
     system: IFS,
@@ -269,13 +259,6 @@ class InvarianceReport:
     distances: tuple[Fraction, ...]
     ok: bool
 
-    def to_obj(self) -> dict:
-        return {
-            "tol": rational_str(self.tol),
-            "distances": [rational_str(d) for d in self.distances],
-            "ok": self.ok,
-        }
-
 
 def invariance_check(system: IFS, k_set: ArcSet, tol: Fraction) -> InvarianceReport:
     """True iff max over generators of d_H(f(K), K) <= tol (tol = 0 demands
@@ -291,34 +274,25 @@ VERDICT_CONVERGED = "converged-below-tol"
 VERDICT_NOT_CONVERGED = "not-converged-within-budget"
 
 
+class Step(NamedTuple):
+    """One set of a Hutchinson orbit: its index, gap radius and arc count,
+    and whether coarsening changed it."""
+
+    n: int
+    gap_radius: Fraction
+    arc_count: int
+    coarsened: bool
+
+
 @dataclass(frozen=True)
 class ConvergenceReport:
     """gap_radius trajectory of F^n(K) against a convergence tolerance."""
 
-    steps: tuple[tuple[int, Fraction], ...]
-    arc_counts: tuple[int, ...]
-    coarsened: tuple[bool, ...]
     tol: Fraction
     budget: int
     verdict: str
     converged_at: int | None
-
-    def to_obj(self) -> dict:
-        return {
-            "tol": rational_str(self.tol),
-            "budget": self.budget,
-            "verdict": self.verdict,
-            "converged_at": self.converged_at,
-            "steps": [
-                {
-                    "n": n,
-                    "gap_radius": rational_str(r),
-                    "arc_count": self.arc_counts[i],
-                    "coarsened": self.coarsened[i],
-                }
-                for i, (n, r) in enumerate(self.steps)
-            ],
-        }
+    steps: tuple[Step, ...]
 
 
 def attractor_probe(
@@ -334,24 +308,20 @@ def attractor_probe(
         raise ValueError("budget must be >= 1")
     if tol <= 0:
         raise ValueError("tol must be positive")
-    steps, arc_counts, coarsened = [], [], []
+    steps = []
     converged_at = None
     for n, (current, coarse) in enumerate(
         islice(orbit(system, k_set, policy), budget + 1)
     ):
         radius = gap_radius(current)
-        steps.append((n, radius))
-        arc_counts.append(len(current.arcs))
-        coarsened.append(coarse)
+        steps.append(Step(n, radius, len(current.arcs), coarse))
         if radius <= tol:
             converged_at = n
             break
     return ConvergenceReport(
-        steps=tuple(steps),
-        arc_counts=tuple(arc_counts),
-        coarsened=tuple(coarsened),
         tol=tol,
         budget=budget,
         verdict=VERDICT_CONVERGED if converged_at is not None else VERDICT_NOT_CONVERGED,
         converged_at=converged_at,
+        steps=tuple(steps),
     )

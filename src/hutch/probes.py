@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice, zip_longest
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .circle import (
     Arc,
@@ -26,7 +26,6 @@ from .circle import (
     hausdorff,
     normalize,
     point_set,
-    rational_str,
 )
 from .ifs import EXACT, IFS, PrecisionPolicy, orbit
 from .ifs import hutchinson_step  # unused here; perfbench/tracer.py patches it
@@ -86,6 +85,11 @@ def _df_over_orbits(steps_a, steps_b) -> tuple[Fraction, bool]:
     return best, coarsened
 
 
+class ModulusEntry(NamedTuple):
+    delta: Fraction
+    modulus: Fraction
+
+
 @dataclass(frozen=True)
 class ModulusReport:
     """Sampled modulus of continuity of id: (X, d) -> (X, d_F) at a point.
@@ -98,7 +102,7 @@ class ModulusReport:
     base_point: CirclePoint
     truncation: int
     sample_count: int
-    entries: tuple[tuple[Fraction, Fraction], ...]
+    entries: tuple[ModulusEntry, ...]
     coarsened: bool = False
 
     def modulus(self, delta: Fraction) -> Fraction:
@@ -106,18 +110,6 @@ class ModulusReport:
             if d == delta:
                 return m
         raise KeyError(f"delta {delta} not in the probed grid")
-
-    def to_obj(self) -> dict:
-        return {
-            "base_point": rational_str(self.base_point.value),
-            "truncation": self.truncation,
-            "sample_count": self.sample_count,
-            "coarsened": self.coarsened,
-            "entries": [
-                {"delta": rational_str(d), "modulus": rational_str(m)}
-                for d, m in self.entries
-            ],
-        }
 
 
 def equicontinuity_probe(
@@ -164,7 +156,7 @@ def equicontinuity_probe(
         )
         coarsened |= coarse
     entries = tuple(
-        (d, max(v for off, v in df_by_offset.items() if abs(off) <= d))
+        ModulusEntry(d, max(v for off, v in df_by_offset.items() if abs(off) <= d))
         for d in deltas
     )
     return ModulusReport(
@@ -212,18 +204,6 @@ class SensitivityEntry:
     covering_bound: Fraction | None
     evidence: Fraction
 
-    def to_obj(self) -> dict:
-        return {
-            "center": rational_str(self.center.value),
-            "length": rational_str(self.length),
-            "diameter_estimate": rational_str(self.diameter_estimate),
-            "covering_time": self.covering_time,
-            "covering_bound": None
-            if self.covering_bound is None
-            else rational_str(self.covering_bound),
-            "evidence": rational_str(self.evidence),
-        }
-
 
 VERDICT_SENSITIVE = "sensitive at tested scales"
 VERDICT_NOT_SENSITIVE = "not sensitive at tested scales"
@@ -245,16 +225,6 @@ class SensitivityReport:
     lower_bound: Fraction
     verdict: str
     coarsened: bool = False
-
-    def to_obj(self) -> dict:
-        return {
-            "lengths": [rational_str(l) for l in self.lengths],
-            "truncation": self.truncation,
-            "coarsened": self.coarsened,
-            "entries": [e.to_obj() for e in self.entries],
-            "lower_bound": rational_str(self.lower_bound),
-            "verdict": self.verdict,
-        }
 
 
 def sensitivity_probe(

@@ -153,6 +153,13 @@ def test_unknown_probe_rejected():
                 ("theorem2", {"sede": 3}, "'sede'", "unknown-top-level-key"),
                 ("theorem2", {"probs": [], "sede": 3}, "'probs'",
                  "misspelt-probes-key"),
+                # booleans are JSON's, not rationals: true must not run as 1
+                ("theorem2", {"probes": [{"probe": "attractor", "tol": True}]},
+                 "probes[0].tol", "tol-boolean"),
+                ("theorem2", {"probes": [{"probe": "attractor", "start": False}]},
+                 "probes[0].start", "start-boolean"),
+                ("theorem2", {"precision": {"coarsen": True}},
+                 "precision.coarsen", "coarsen-boolean"),
             ]
         ),
         pytest.param(
@@ -176,6 +183,7 @@ def test_unknown_probe_rejected():
                 ("generators-int.json", "ifs-generator-not-object"),
                 ("generators-str.json", "ifs-generators-string"),
                 ("offset-zero-denominator.json", "ifs-offset-zero-denominator"),
+                ("breakpoint-boolean.json", "ifs-breakpoint-boolean"),
                 (5, "path-not-string"),
                 (".", "path-is-directory"),
             ]
@@ -191,6 +199,7 @@ def test_cli_exit_code_on_malformed_config(
         ("generators-int.json", [1]),
         ("generators-str.json", "ab"),
         ("offset-zero-denominator.json", [{"offset": "1/0", "breakpoints": []}]),
+        ("breakpoint-boolean.json", [{"breakpoints": [[False, "0"], ["1/2", "1/2"]]}]),
     ]:
         (tmp_path / name).write_text(json.dumps({"generators": generators}))
     cfg = tmp_path / "bad.json"
@@ -207,6 +216,32 @@ def test_cli_probe_params_must_be_object(tmp_path, capsys):
     )
     assert code == EXIT_CONFIG
     assert "'--params'" in capsys.readouterr().err
+
+
+def test_cli_probe_params_cannot_change_kind(tmp_path, capsys):
+    code = main(
+        ["probe", "attractor", "--system", "theorem2", "--params",
+         '{"probe": "covering"}', "--out", str(tmp_path)]
+    )
+    assert code == EXIT_CONFIG
+    assert "'--params'" in capsys.readouterr().err
+    assert not (tmp_path / "bundle.json").exists()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, b'{"system": "th\xe9orem2"}'],
+    ids=["directory", "not-utf8"],
+)
+def test_cli_unreadable_config_names_field(tmp_path, capsys, content):
+    cfg = tmp_path / "cfg"
+    if content is None:
+        cfg.mkdir()
+    else:
+        cfg.write_bytes(content)
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert code == EXIT_CONFIG
+    assert "'--config'" in capsys.readouterr().err
 
 
 def test_cli_invariance_without_set_fails_before_any_probe(tmp_path, capsys):

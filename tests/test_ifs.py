@@ -143,10 +143,12 @@ def test_orbit_consumers_agree(theorem2):
     report = attractor_probe(
         theorem2, normalize([u]), budget=16, tol=F(1, 64), policy=policy
     )
-    n = len(report.arc_counts)
+    n = len(report.steps)
     assert n < len(traj)
-    assert report.arc_counts == traj.arc_counts[:n]
-    assert report.coarsened == traj.coarsened[:n]
+    assert [s.n for s in report.steps] == list(range(n))
+    assert tuple(s.arc_count for s in report.steps) == traj.arc_counts[:n]
+    assert tuple(s.coarsened for s in report.steps) == traj.coarsened[:n]
+    assert [s.gap_radius for s in report.steps] == [gap_radius(s) for s in traj.sets[:n]]
 
 
 @pytest.mark.parametrize(
@@ -301,7 +303,7 @@ def test_attractor_half_rotation_never_converges():
     assert report.verdict == VERDICT_NOT_CONVERGED
     assert report.converged_at is None
     # the singleton hops between 0 and 1/2; its gap radius stays 1/2
-    assert all(radius == F(1, 2) for _, radius in report.steps)
+    assert all(step.gap_radius == F(1, 2) for step in report.steps)
 
 
 def test_attractor_theorem2_converges(theorem2):
@@ -309,7 +311,7 @@ def test_attractor_theorem2_converges(theorem2):
         theorem2, point_set([CirclePoint(F(1, 3))]), budget=64, tol=F(1, 256)
     )
     assert report.verdict == VERDICT_CONVERGED
-    radii = [radius for _, radius in report.steps]
+    radii = [step.gap_radius for step in report.steps]
     assert all(b <= a for a, b in zip(radii, radii[1:]))
 
 
