@@ -25,7 +25,6 @@ from .ifs import (
     MinimalityReport,
     PrecisionPolicy,
     ResourceCapError,
-    Trajectory,
     attractor_probe,
     hutchinson,
     invariance_check,
@@ -53,8 +52,6 @@ from .constructions import (
     build_theorem1,
     denjoy_approximant,
     diagonal_containment_check,
-    golden_convergent,
-    theorem1_system,
     theorem2_ifs,
 )
 

@@ -219,6 +219,7 @@ def parse_config(obj: dict, overrides: dict | None = None) -> ExperimentConfig:
     if system is None:
         raise ConfigError("field 'system': required (builtin name or {\"path\": ...})")
     if isinstance(system, dict):
+        _known_keys(system, ("path",), "system.")
         if "path" not in system:
             raise ConfigError("field 'system.path': required for file-based systems")
         if not isinstance(system["path"], str):
@@ -241,6 +242,9 @@ def parse_config(obj: dict, overrides: dict | None = None) -> ExperimentConfig:
     if not isinstance(probes_obj, list):
         raise ConfigError("field 'probes': expected list")
     probes = tuple(_resolve_probe(p, i, overrides) for i, p in enumerate(probes_obj))
+    if overrides.get("tol") is not None:
+        # checked even when no probe of the config takes it
+        _parse(_rational, overrides["tol"], "--tol")
 
     precision_obj = obj.get("precision", {})
     if not isinstance(precision_obj, dict):
@@ -378,11 +382,10 @@ def _start(spec: dict) -> ArcSet:
 
 def _run_iterate(spec, target, system, policy) -> dict:
     """Every step of the trajectory, then its last set."""
-    traj = iterate(target, _start(spec), spec["steps"], policy)
-    steps = zip(traj.sets, traj.arc_counts, traj.coarsened)
+    steps = iterate(target, _start(spec), spec["steps"], policy)
     return {
-        "steps": [Step(n, gap_radius(s), count, c) for n, (s, count, c) in enumerate(steps)],
-        "final_set": traj.sets[-1],
+        "steps": [Step(n, gap_radius(s), len(s.arcs), c) for n, (s, c) in enumerate(steps)],
+        "final_set": steps[-1][0],
     }
 
 
@@ -684,9 +687,13 @@ def _describe_text(info: dict) -> str:
 # -- argument parsing ----------------------------------------------------------
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
+def _add_source_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--system", help="builtin system name or path to an IFS JSON file")
+
+
+def _add_common_flags(p: argparse.ArgumentParser) -> None:
+    _add_source_flags(p)
     p.add_argument("--out", help="output directory")
     p.add_argument("--seed", type=int, help="recorded RNG seed (sampling is deterministic)")
     p.add_argument("--max-iter", type=int, dest="max_iter", help="iteration budget override")
@@ -703,16 +710,9 @@ def _load_config(args, extra_probes=None) -> ExperimentConfig:
     system = args.system
     if system and system not in ("theorem1", "theorem2"):
         system = {"path": system}
-    overrides = {
-        "system": system,
-        "out": args.out,
-        "seed": args.seed,
-        "denominator_limit": args.denominator_limit,
-        "coarsen": args.coarsen,
-        "max_iter": args.max_iter,
-        "tol": args.tol,
-        "start": getattr(args, "start", None),
-    }
+    # describe takes none of the other flags, and only probe takes --start
+    flags = ("out", "seed", "denominator_limit", "coarsen", "max_iter", "tol", "start")
+    overrides = {"system": system, **{key: getattr(args, key, None) for key in flags}}
     if extra_probes is not None:
         raw = dict(raw)
         raw["probes"] = extra_probes
@@ -727,19 +727,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_describe = sub.add_parser("describe", help="summarize a system")
-    _add_common_flags(p_describe)
+    _add_source_flags(p_describe)
     p_describe.add_argument("--json", action="store_true", help="emit JSON")
 
     p_run = sub.add_parser("run", help="run the configured probes")
     _add_common_flags(p_run)
-
-    p_iter = sub.add_parser("iterate", help="dump a Hutchinson trajectory")
-    _add_common_flags(p_iter)
-    p_iter.add_argument("--start", default="0", help="singleton start point p/q")
-    p_iter.add_argument("--steps", type=int, default=16)
-    p_iter.add_argument(
-        "--direction", choices=("forward", "backward"), default="forward"
-    )
 
     p_probe = sub.add_parser("probe", help="run a single probe")
     _add_common_flags(p_probe)
@@ -761,19 +753,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             config = _load_config(args)
             bundle = run(config)
             print(f"wrote {len(bundle.reports)} report(s) to {config.out_dir}")
-            return 0
-        if args.command == "iterate":
-            spec = {
-                "probe": "iterate",
-                "direction": args.direction,
-                "steps": args.steps,
-            }
-            config = _load_config(args, extra_probes=[spec])
-            bundle = run(config)
-            last = bundle.reports[-1]["report"]["steps"][-1]
-            print(
-                f"n={last['n']} gap_radius={last['gap_radius']} arcs={last['arc_count']}"
-            )
             return 0
         if args.command == "probe":
             spec = {"probe": args.kind, "direction": args.direction}

@@ -4,7 +4,7 @@ theorem2_ifs: a rotation plus three explicit PL maps whose graphs, together
 with their inverses, contain the diagonal as a relation, making every arc set
 grow under both the forward and the backward Hutchinson operator.
 
-denjoy_approximant / blowup_map / theorem1_system: a finite-stage Denjoy-type
+denjoy_approximant / blowup_map / build_theorem1: a finite-stage Denjoy-type
 construction.  A rational rotation orbit is blown up into geometrically
 decaying gaps, producing a PL map g that carries gap n affinely onto gap n+1
 and shadows the rescaled rotation elsewhere, with invariant-up-to-residual
@@ -18,8 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
-
 from .circle import (
     Arc,
     ArcSet,
@@ -288,35 +286,6 @@ def blowup_map(
 # -- assembled systems ----------------------------------------------------------
 
 
-ApproximantsArg = Union[DenjoyApproximant, Sequence[DenjoyApproximant]]
-
-
-def theorem1_system(approximants: ApproximantsArg, blowup: BlowupMap) -> tuple[IFS, IFS]:
-    """(forward, backward): the symmetric Denjoy part plus the blowup map,
-    and its inverse family.
-
-    The symmetric part {g, g^-1} is shared by both systems; the blowup must
-    have been built from the first approximant.
-    """
-    if isinstance(approximants, DenjoyApproximant):
-        approximants = (approximants,)
-    approximants = tuple(approximants)
-    if not approximants:
-        raise ValueError("need at least one approximant")
-    if all(blowup.target_gap != arc for _, arc in approximants[0].gaps):
-        raise ValueError("blowup map was not built from the leading approximant")
-    gens: list[PLHomeo] = []
-    for d in approximants:
-        gens.append(d.g)
-        gens.append(d.g.invert())
-    gens.append(blowup.h)
-    forward = IFS(tuple(gens), label="theorem1-forward")
-    backward = IFS(
-        inverse_system(forward).generators, label="theorem1-backward"
-    )
-    return forward, backward
-
-
 @dataclass(frozen=True)
 class Theorem1Params:
     """Shipped defaults for the finite-stage construction."""
@@ -391,7 +360,10 @@ def build_theorem1(params: Theorem1Params = Theorem1Params()) -> Theorem1System:
         for i in range(c)
     )
     blow = blowup_map(approximants[0], params.gap_index, params.sigma)
-    forward, backward = theorem1_system(approximants, blow)
+    # the symmetric part {g, g^-1} of every approximant, then h
+    gens = [m for d in approximants for m in (d.g, d.g.invert())] + [blow.h]
+    forward = IFS(tuple(gens), label="theorem1-forward")
+    backward = IFS(inverse_system(forward).generators, label="theorem1-backward")
     return Theorem1System(
         params=params,
         approximants=approximants,
@@ -400,12 +372,3 @@ def build_theorem1(params: Theorem1Params = Theorem1Params()) -> Theorem1System:
         backward=backward,
     )
 
-
-def golden_convergent(min_denominator: int = 10_000) -> Fraction:
-    """Continued-fraction convergent of (sqrt(5) - 1)/2 with denominator at
-    least min_denominator: the stand-in for a true irrational angle when one
-    is requested."""
-    a, b = 1, 1  # consecutive Fibonacci numbers: convergents F_k / F_{k+1}
-    while b < min_denominator:
-        a, b = b, a + b
-    return Fraction(a, b)

@@ -151,32 +151,13 @@ def orbit(
         current, coarse = hutchinson_step(system, current, policy)
 
 
-@dataclass(frozen=True)
-class Trajectory:
-    """The sets [A, F(A), ..., F^n(A)] with per-step bookkeeping."""
-
-    sets: tuple[ArcSet, ...]
-    arc_counts: tuple[int, ...]
-    coarsened: tuple[bool, ...]
-
-    def __len__(self) -> int:
-        return len(self.sets)
-
-    def __getitem__(self, i: int) -> ArcSet:
-        return self.sets[i]
-
-
 def iterate(
-    system: IFS,
-    a: ArcSet,
-    n: int,
-    policy: PrecisionPolicy = EXACT,
-) -> Trajectory:
-    """Iterate the Hutchinson operator n times, keeping the full history."""
+    system: IFS, a: ArcSet, n: int, policy: PrecisionPolicy = EXACT
+) -> list[tuple[ArcSet, bool]]:
+    """The first n + 1 steps (F^k(A) processed, coarsened?) of orbit."""
     if n < 0:
         raise ValueError("iteration count must be >= 0")
-    sets, coarsened = zip(*islice(orbit(system, a, policy), n + 1))
-    return Trajectory(sets, tuple(len(s.arcs) for s in sets), coarsened)
+    return list(islice(orbit(system, a, policy), n + 1))
 
 
 def word_map(system: IFS, word: Word | Sequence[int], x: CirclePoint) -> CirclePoint:

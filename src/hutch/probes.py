@@ -105,12 +105,6 @@ class ModulusReport:
     entries: tuple[ModulusEntry, ...]
     coarsened: bool = False
 
-    def modulus(self, delta: Fraction) -> Fraction:
-        for d, m in self.entries:
-            if d == delta:
-                return m
-        raise KeyError(f"delta {delta} not in the probed grid")
-
 
 def equicontinuity_probe(
     system: IFS,

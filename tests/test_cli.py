@@ -14,6 +14,7 @@ from hutch.cli import (
     ConfigError,
     EXIT_CONFIG,
     EXIT_RESOURCE,
+    _KINDS,
     describe,
     main,
     parse_config,
@@ -109,6 +110,17 @@ def test_unknown_probe_rejected():
             "probes[0].depth",
             id="max-iter-below-floor",
         ),
+        # --tol is checked even when no probe of the config takes it
+        *(
+            pytest.param(
+                {"system": "theorem2", "probes": [{"probe": "covering", "budget": 2}]},
+                ["--tol", tol],
+                "'--tol'",
+                id=case,
+            )
+            for tol, case in [("1/0", "unused-tol-zero-denominator"),
+                              ("abc", "unused-tol-not-rational")]
+        ),
         pytest.param(
             {"system": "theorem1",
              "probes": [{"probe": "sensitivity", "lengths": ["2"]}]},
@@ -187,6 +199,12 @@ def test_unknown_probe_rejected():
                 (5, "path-not-string"),
                 (".", "path-is-directory"),
             ]
+        ),
+        pytest.param(
+            {"system": {"path": "generators-int.json", "typo": 1}, "probes": []},
+            [],
+            "'system.typo'",
+            id="system-unknown-key",
         ),
     ],
 )
@@ -468,22 +486,28 @@ def test_cli_describe_text(capsys):
 
 
 def test_cli_iterate(tmp_path, capsys):
-    code = main(
-        [
-            "iterate",
-            "--system",
-            "theorem2",
-            "--start",
-            "1/3",
-            "--steps",
-            "5",
-            "--out",
-            str(tmp_path),
-        ]
-    )
+    # a trajectory is the iterate probe; --max-iter sets its step count
+    code = main(["probe", "iterate", "--system", "theorem2", "--start", "1/3",
+                 "--max-iter", "5", "--out", str(tmp_path)])
     assert code == 0
-    assert "gap_radius=" in capsys.readouterr().out
+    report = json.loads(capsys.readouterr().out)
+    assert [step["n"] for step in report["steps"]] == list(range(6))
     assert (tmp_path / "probe_00_iterate.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["describe", "--system", "theorem2", "--tol", "1/0"],
+        ["describe", "--system", "theorem2", "--out", "x"],
+        ["iterate", "--system", "theorem2"],
+    ],
+)
+def test_cli_rejects_unknown_arguments(argv, capsys):
+    # describe reads only --config, --system and --json; argparse exits 2
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
 
 
 def test_cli_probe_shortcut(tmp_path, capsys):
@@ -502,6 +526,23 @@ def test_cli_probe_shortcut(tmp_path, capsys):
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert report["covering_time"] is not None
+
+
+def test_readme_flag_table_matches_kinds():
+    # the README's table of the field each of --max-iter, --tol and --start
+    # sets, row by row against _KINDS
+    lines = (ROOT / "README.md").read_text().splitlines()
+    head = lines.index("| probe kind | `--max-iter` | `--tol` | `--start X` |")
+    table = {}
+    for line in lines[head + 2:]:
+        if not line.startswith("|"):
+            break
+        kind, *cells = (cell.strip() for cell in line.strip("|").split("|"))
+        fields = [cell.split("`")[1] if cell.startswith("`") else None for cell in cells]
+        table[kind.strip("`")] = {
+            flag: field for flag, field in zip(("max_iter", "tol", "start"), fields) if field
+        }
+    assert table == {kind: spec.roles for kind, spec in _KINDS.items()}
 
 
 def test_cli_flag_overrides(tmp_path):

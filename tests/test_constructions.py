@@ -13,11 +13,11 @@ from hutch.circle import (
 from hutch.homeo import PLHomeo
 from hutch.ifs import IFS, hutchinson, inverse_system, orbit_density_probe
 from hutch.constructions import (
+    Theorem1Params,
     blowup_map,
+    build_theorem1,
     denjoy_approximant,
     diagonal_containment_check,
-    golden_convergent,
-    theorem1_system,
     theorem2_ifs,
 )
 from conftest import ALPHA, random_arcset, random_point
@@ -189,9 +189,9 @@ def test_blowup_sigma_validation(theorem1):
 # -- assembled theorem1 system ------------------------------------------------------
 
 
-def test_theorem1_single_approximant_shape(theorem1):
-    approx = theorem1.approximants[0]
-    forward, backward = theorem1_system(approx, theorem1.blowup)
+def test_theorem1_single_approximant_shape():
+    built = build_theorem1(Theorem1Params(approximant_count=1))
+    forward, backward = built.forward, built.backward
     assert len(forward.generators) == 3
     assert len(backward.generators) == 3
     rng = random.Random(13)
@@ -217,12 +217,6 @@ def test_theorem1_symmetric_part_shared(theorem1):
     assert fw == bw
 
 
-def test_theorem1_blowup_mismatch_detected(theorem1):
-    other = denjoy_approximant(ALPHA, F(1, 2), F(1, 2), 8, CirclePoint(F(1, 220)))
-    with pytest.raises(ValueError, match="leading approximant"):
-        theorem1_system(other, theorem1.blowup)
-
-
 def test_theorem1_default_interleaving(theorem1):
     gaps0 = theorem1.approximants[0].gap(0)
     gaps1 = theorem1.approximants[1].gap(0)
@@ -238,9 +232,3 @@ def test_theorem1_forward_orbit_density(theorem1):
     )
     assert report.verdict
 
-
-def test_golden_convergent():
-    g = golden_convergent()
-    assert g.denominator >= 10_000
-    golden = (5**0.5 - 1) / 2
-    assert abs(float(g) - golden) < 1e-8

@@ -23,6 +23,7 @@ from hutch.ifs import (
     PROBE_POLICY,
     PrecisionPolicy,
     ResourceCapError,
+    Step,
     VERDICT_CONVERGED,
     VERDICT_NOT_CONVERGED,
     _images,
@@ -93,21 +94,20 @@ def test_full_circle_is_fixed(theorem2, theorem1):
 
 def test_iterate_zero_steps():
     a = random_arcset(random.Random(7))
-    traj = iterate(rotation_system(F(1, 4)), a, 0)
-    assert traj.sets == (a,)
+    assert iterate(rotation_system(F(1, 4)), a, 0) == [(a, False)]
 
 
 def test_iterate_quarter_rotation_orbit():
     # F^n({0}) of the one-map system is the single rotated point each step
-    traj = iterate(rotation_system(F(1, 4)), point_set([CirclePoint(0)]), 4)
-    assert traj.arc_counts == (1, 1, 1, 1, 1)
-    assert traj.sets[1] == point_set([CirclePoint(F(1, 4))])
-    assert traj.sets[4] == point_set([CirclePoint(0)])
+    sets = [s for s, _ in iterate(rotation_system(F(1, 4)), point_set([CirclePoint(0)]), 4)]
+    assert [len(s.arcs) for s in sets] == [1, 1, 1, 1, 1]
+    assert sets[1] == point_set([CirclePoint(F(1, 4))])
+    assert sets[4] == point_set([CirclePoint(0)])
 
 
 def test_iterate_theorem2_is_nested(theorem2):
-    traj = iterate(theorem2, point_set([CirclePoint(0)]), 6)
-    for a, b in zip(traj.sets, traj.sets[1:]):
+    sets = [s for s, _ in iterate(theorem2, point_set([CirclePoint(0)]), 6)]
+    for a, b in zip(sets, sets[1:]):
         assert is_subset(a, b)
 
 
@@ -115,7 +115,7 @@ def test_iterate_resource_cap(theorem2):
     policy = PrecisionPolicy(arc_cap=4)
     # at a later step
     start = point_set([CirclePoint(F(1, 3))])
-    assert iterate(theorem2, start, 0, policy).arc_counts == (1,)
+    assert iterate(theorem2, start, 0, policy) == [(start, False)]
     with pytest.raises(ResourceCapError):
         iterate(theorem2, start, 8, policy)
     # at step 0: the start set itself is over the cap
@@ -126,8 +126,8 @@ def test_iterate_resource_cap(theorem2):
 
 def test_iterate_records_coarsening(theorem2):
     policy = PrecisionPolicy(coarsen_eta=F(1, 16))
-    traj = iterate(theorem2, point_set([CirclePoint(F(1, 3))]), 8, policy)
-    assert any(traj.coarsened)
+    steps = iterate(theorem2, point_set([CirclePoint(F(1, 3))]), 8, policy)
+    assert any(coarse for _, coarse in steps)
 
 
 def test_orbit_consumers_agree(theorem2):
@@ -135,20 +135,17 @@ def test_orbit_consumers_agree(theorem2):
     # engine; each applies only its own stopping rule to the same steps
     policy = PrecisionPolicy(denominator_limit=2**10, coarsen_eta=F(1, 256))
     u = Arc(CirclePoint(F(1, 3)), F(1, 64))
-    traj = iterate(theorem2, normalize([u]), 16, policy)
-    covered = [
-        s.is_full or gap_radius(s) <= policy.coarsen_eta for s in traj.sets
-    ]
+    steps = iterate(theorem2, normalize([u]), 16, policy)
+    covered = [s.is_full or gap_radius(s) <= policy.coarsen_eta for s, _ in steps]
     assert covering_time(theorem2, u, 16, policy) == covered.index(True)
     report = attractor_probe(
         theorem2, normalize([u]), budget=16, tol=F(1, 64), policy=policy
     )
     n = len(report.steps)
-    assert n < len(traj)
-    assert [s.n for s in report.steps] == list(range(n))
-    assert tuple(s.arc_count for s in report.steps) == traj.arc_counts[:n]
-    assert tuple(s.coarsened for s in report.steps) == traj.coarsened[:n]
-    assert [s.gap_radius for s in report.steps] == [gap_radius(s) for s in traj.sets[:n]]
+    assert n < len(steps)
+    assert list(report.steps) == [
+        Step(k, gap_radius(s), len(s.arcs), coarse) for k, (s, coarse) in enumerate(steps[:n])
+    ]
 
 
 @pytest.mark.parametrize(
@@ -263,6 +260,13 @@ def test_orbit_theorem2_dense_at_depth_12(theorem2):
     assert report.largest_gap < F(1, 32)
 
 
+def test_orbit_density_probe_point_cap(theorem2):
+    with pytest.raises(ResourceCapError, match="orbit exceeded 10 points"):
+        orbit_density_probe(
+            theorem2, CirclePoint(F(1, 3)), depth=6, epsilon=F(1, 64), max_points=10
+        )
+
+
 # -- invariance_check ----------------------------------------------------------------
 
 
@@ -354,6 +358,5 @@ def test_singleton_coherence(theorem2, theorem1):
 
 
 def test_nested_iteration_gap_radius_monotone(theorem2):
-    traj = iterate(theorem2, point_set([CirclePoint(F(2, 7))]), 10)
-    radii = [gap_radius(s) for s in traj.sets]
+    radii = [gap_radius(s) for s, _ in iterate(theorem2, point_set([CirclePoint(F(2, 7))]), 10)]
     assert all(b <= a for a, b in zip(radii, radii[1:]))

@@ -167,7 +167,7 @@ def test_backward_modulus_exceeds_isometry_baseline(theorem1):
         32,
         policy=PROBE_POLICY,
     )
-    assert report.modulus(F(1, 1024)) > 4 * F(1, 1024)
+    assert dict(report.entries)[F(1, 1024)] > 4 * F(1, 1024)
 
 
 # -- sensitivity_probe ----------------------------------------------------------------
