@@ -11,7 +11,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Iterator, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -233,6 +233,15 @@ def _normalize_segments_flagged(
     return _trusted_arcset(arcs), filled
 
 
+def _exact_key(dmax: int) -> Callable[[tuple[int, ...]], int]:
+    """An exact integer sort key for tuples that start with a rational
+    (numerator, denominator), denominator at most dmax: distinct such values
+    differ by at least 1/dmax**2 > 2**-k, so their floors at scale 2**k
+    differ too, and equal values get equal keys."""
+    k = 2 * dmax.bit_length()
+    return lambda t: (t[0] << k) // t[1]
+
+
 def _merged_runs(
     raw: Iterable[tuple[Fraction, Fraction]],
     en: int,
@@ -267,10 +276,7 @@ def _merged_runs(
             segments.append((0, 1, hn - hd, hd))
     if not segments:
         raise ValueError("empty set not in hyperspace")
-    # An exact integer sort key: distinct starts with denominators <= dmax
-    # differ by more than 2**-k, so their floors at scale 2**k differ too.
-    k = 2 * dmax.bit_length()
-    segments.sort(key=lambda seg: (seg[0] << k) // seg[1])
+    segments.sort(key=_exact_key(dmax))
 
     filled = False
     merged: list[tuple[int, int, int, int]] = []

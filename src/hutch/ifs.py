@@ -8,12 +8,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import gcd
 from typing import Iterator, NamedTuple, Sequence
 
 from .circle import (
     ArcSet,
     CirclePoint,
     RoundedRuns,
+    _exact_key,
     _normalize_segments_flagged,
     gap_radius,
     hausdorff,
@@ -194,34 +196,44 @@ def orbit_density_probe(
 
     BFS with exact-point deduplication: a point reached at word length m is
     expanded once there, which already enumerates every continuation a later
-    revisit (at length > m) could contribute.
+    revisit (at length > m) could contribute.  Points are reduced
+    (numerator, denominator) pairs in [0, 1); the cap is checked as each new
+    point is added.
     """
     if depth < 1:
         raise ValueError("depth must be >= 1")
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
-    visited = {x.value}
-    frontier = [x]
+    start = (x.value.numerator, x.value.denominator)
+    visited = {start}
+    frontier = [start]
+    lifts = [g._lift_ints for g in system.generators]
     for _ in range(depth):
         nxt = []
-        for p in frontier:
-            for g in system.generators:
-                q = g(p)
-                if q.value not in visited:
-                    visited.add(q.value)
-                    nxt.append(q)
+        for p, q in frontier:
+            for lift in lifts:
+                num, den = lift(p, q)
+                num %= den
+                c = gcd(num, den)
+                point = (num // c, den // c)
+                if point not in visited:
+                    if len(visited) >= max_points:
+                        raise ResourceCapError(f"orbit exceeded {max_points} points")
+                    visited.add(point)
+                    nxt.append(point)
         frontier = nxt
-        if len(visited) > max_points:
-            raise ResourceCapError(f"orbit exceeded {max_points} points")
         if not frontier:
             break
-    pts = sorted(visited)
-    largest = max(
-        ((pts[(i + 1) % len(pts)] - pts[i]) % 1 for i in range(len(pts))),
-        default=Fraction(1),
-    )
-    if len(pts) == 1:
-        largest = Fraction(1)
+    pts = sorted(visited, key=_exact_key(max(q for _, q in visited)))
+    # The largest gap by cross-multiplication, starting from the one that
+    # wraps around, from the last point to the first + 1.
+    (fn, fd), (ln, ld) = pts[0], pts[-1]
+    best_n, best_d = (fn + fd) * ld - ln * fd, fd * ld
+    for (pn, pd), (qn, qd) in zip(pts, pts[1:]):
+        gap = qn * pd - pn * qd
+        if gap * best_d > best_n * qd * pd:
+            best_n, best_d = gap, qd * pd
+    largest = Fraction(best_n, best_d)
     return MinimalityReport(
         base_point=x,
         depth=depth,

@@ -231,4 +231,6 @@ def test_theorem1_forward_orbit_density(theorem1):
         theorem1.forward, k_point, depth=10, epsilon=F(1, 32)
     )
     assert report.verdict
+    assert report.orbit_size == 211_311
+    assert report.largest_gap == F(123, 1_348_160)
 

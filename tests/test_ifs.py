@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import hutch.circle as circle
 import hutch.ifs as ifs
@@ -265,6 +267,99 @@ def test_orbit_density_probe_point_cap(theorem2):
         orbit_density_probe(
             theorem2, CirclePoint(F(1, 3)), depth=6, epsilon=F(1, 64), max_points=10
         )
+
+
+def test_orbit_density_probe_stops_at_the_first_point_past_the_cap(theorem2, monkeypatch):
+    # fresh says, per evaluation in order, whether it found a new point: the
+    # cap must fire at the first new point past it, not at the end of a level.
+    lift = PLHomeo._lift_ints
+    seen = {F(1, 3)}
+    fresh = []
+
+    def counting(self, p, q):
+        num, den = lift(self, p, q)
+        value = F(num, den) % 1
+        fresh.append(value not in seen)
+        seen.add(value)
+        return num, den
+
+    monkeypatch.setattr(PLHomeo, "_lift_ints", counting)
+    with pytest.raises(ResourceCapError, match="orbit exceeded 50 points"):
+        orbit_density_probe(
+            theorem2, CirclePoint(F(1, 3)), depth=6, epsilon=F(1, 64), max_points=50
+        )
+    assert len(seen) == 51
+    assert fresh[-1]
+    assert len(fresh) <= len(theorem2.generators) * 50
+
+
+def fraction_orbit_density(system, x, depth, epsilon):
+    """The probe as a plain Fraction BFS: the oracle for the int-pair one."""
+    visited = {x.value}
+    frontier = [x]
+    for _ in range(depth):
+        nxt = []
+        for p in frontier:
+            for g in system.generators:
+                q = g(p)
+                if q.value not in visited:
+                    visited.add(q.value)
+                    nxt.append(q)
+        frontier = nxt
+        if not frontier:
+            break
+    pts = sorted(visited)
+    largest = max((pts[(i + 1) % len(pts)] - pts[i]) % 1 for i in range(len(pts)))
+    if len(pts) == 1:
+        largest = F(1)
+    return len(pts), largest, largest < 2 * epsilon
+
+
+@st.composite
+def orbit_cases(draw):
+    """(system name or rotation angle, start, depth): starts from random_point
+    with denominators up to 2**20, depths 1..6."""
+    which = draw(
+        st.one_of(
+            st.sampled_from(["theorem2", "theorem1-forward", "theorem1-backward"]),
+            st.fractions(min_value=0, max_value=1, max_denominator=64),
+        )
+    )
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    start = random_point(rng, draw(st.integers(1, 2**20)))
+    return which, start, draw(st.integers(1, 6))
+
+
+@given(orbit_cases())
+@example(("theorem1-forward", CirclePoint(F(1, 3)), 6))
+def test_orbit_density_probe_matches_fraction_oracle(theorem2, theorem1, case):
+    which, start, depth = case
+    system = {
+        "theorem2": theorem2,
+        "theorem1-forward": theorem1.forward,
+        "theorem1-backward": theorem1.backward,
+    }.get(which) or rotation_system(which)
+    report = orbit_density_probe(system, start, depth, F(1, 64))
+    assert (report.orbit_size, report.largest_gap, report.verdict) == (
+        fraction_orbit_density(system, start, depth, F(1, 64))
+    )
+
+
+@pytest.mark.parametrize(
+    "alpha, start",
+    [
+        (F(1, 4), F(0)),  # orbit {0, 1/4}: the start is the smallest point
+        (F(3, 4), F(1, 2)),  # orbit {1/4, 1/2}: it is not
+    ],
+)
+def test_orbit_density_probe_largest_gap_wraps_around(alpha, start):
+    # the gap from the last point to the first + 1 is 3/4, the largest
+    report = orbit_density_probe(rotation_system(alpha), CirclePoint(start), 1, F(1, 8))
+    assert report.orbit_size == 2
+    assert report.largest_gap == F(3, 4)
+    assert (report.orbit_size, report.largest_gap, report.verdict) == (
+        fraction_orbit_density(rotation_system(alpha), CirclePoint(start), 1, F(1, 8))
+    )
 
 
 # -- invariance_check ----------------------------------------------------------------
