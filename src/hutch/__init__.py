@@ -17,7 +17,7 @@ from .circle import (
     point_set,
     union,
 )
-from .homeo import InvalidHomeoError, PLHomeo, Word
+from .homeo import InvalidHomeoError, PLHomeo
 from .ifs import (
     IFS,
     ConvergenceReport,
@@ -32,7 +32,6 @@ from .ifs import (
     iterate,
     orbit,
     orbit_density_probe,
-    word_map,
 )
 from .probes import (
     ModulusReport,

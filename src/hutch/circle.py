@@ -34,11 +34,6 @@ def frac(value: RationalLike) -> Fraction:
     raise TypeError(f"cannot interpret {value!r} as an exact rational")
 
 
-def rational_str(value: Fraction) -> str:
-    """Render a rational losslessly ('3/4', '0', '2')."""
-    return str(value)
-
-
 @dataclass(frozen=True, order=True)
 class CirclePoint:
     """A point of S^1, stored as the canonical representative in [0, 1)."""
@@ -534,13 +529,3 @@ def round_arcset(
     out, filled = _normalize_segments_flagged(runs, fill_eta)
     return out, filled or runs.filled
 
-
-def arcset_to_obj(a: ArcSet) -> list[dict[str, str]]:
-    return [
-        {"start": rational_str(p.start.value), "length": rational_str(p.length)}
-        for p in a.arcs
-    ]
-
-
-def arcset_from_obj(obj: Sequence[dict[str, str]]) -> ArcSet:
-    return normalize([arc(item["start"], item["length"]) for item in obj])

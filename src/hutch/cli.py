@@ -1,6 +1,6 @@
 """Command-line driver: build or load systems, run probes, emit reports.
 
-Bundles are deterministic: the same config and seed produce byte-identical
+Bundles are deterministic: the same config produces byte-identical
 bundle.json files (wall-clock timings go to a timings.json sidecar).  Probes
 run one after another in config order; each probe's CSV is written atomically
 as soon as the probe completes, and bundle.json and timings.json once all
@@ -25,13 +25,12 @@ from .circle import (
     ArcSet,
     CirclePoint,
     arc,
-    arcset_from_obj,
-    arcset_to_obj,
     frac,
     gap_radius,
+    normalize,
     point_set,
-    rational_str,
 )
+from .homeo import PLHomeo
 from .ifs import (
     EXACT,
     IFS,
@@ -66,10 +65,12 @@ EXIT_CONFIG = 2
 EXIT_RESOURCE = 3
 
 
-# -- config fields -------------------------------------------------------------
-# A field parser maps a raw JSON value to its canonical form in the resolved
-# config, raising one of the errors _parse catches for a malformed value;
-# _parse names the field in the ConfigError.
+# -- JSON ----------------------------------------------------------------------
+# This module is the one that reads and writes JSON.  A field parser maps a
+# raw JSON value to its value in the resolved config (an int, a Fraction, a
+# CirclePoint list, an ArcSet), raising one of the errors _parse catches for
+# a malformed value; _parse names the field in the ConfigError.  _json
+# renders values back, configs and reports alike.
 
 
 def _integer(floor: int | None = None):
@@ -83,22 +84,18 @@ def _integer(floor: int | None = None):
     return parse
 
 
-def _rational(value) -> str:
-    return rational_str(frac(value))
-
-
-def _positive(value) -> str:
+def _positive(value) -> Fraction:
     x = frac(value)
     if x <= 0:
         raise ValueError(f"must be positive, got {x}")
-    return rational_str(x)
+    return x
 
 
-def _arc_length(value) -> str:
+def _arc_length(value) -> Fraction:
     x = frac(value)
     if not 0 < x <= 1:
         raise ValueError(f"must lie in (0, 1], got {x}")
-    return rational_str(x)
+    return x
 
 
 def _list(item):
@@ -110,15 +107,14 @@ def _list(item):
     return parse
 
 
-def _deltas(value) -> list[str]:
-    out = _list(_positive)(value)
-    d = [frac(v) for v in out]
+def _deltas(value) -> list[Fraction]:
+    d = _list(_positive)(value)
     if d[0] > Fraction(1, 2) or any(a <= b for a, b in zip(d, d[1:])):
         raise ValueError("must decrease strictly from at most 1/2")
-    return out
+    return d
 
 
-def _points(value) -> list[str]:
+def _points(value) -> list[CirclePoint]:
     """Either an integer (that many stratified points k/n) or a list of
     exact rationals, each reduced into [0, 1)."""
     if isinstance(value, int) and not isinstance(value, bool):
@@ -127,17 +123,13 @@ def _points(value) -> list[str]:
         raise ValueError("expected count or list of rationals")
     if not value:
         raise ValueError("need at least one point")
-    return [rational_str(CirclePoint(frac(v)).value) for v in value]
+    return [CirclePoint(frac(v)) for v in value]
 
 
 def _direction(value) -> str:
     if value not in ("forward", "backward"):
         raise ValueError("expected forward or backward")
     return value
-
-
-def _arcset(value) -> list[dict]:
-    return arcset_to_obj(arcset_from_obj(value))
 
 
 def _parse(parse, value, name: str):
@@ -168,9 +160,81 @@ def _known_keys(obj: dict, names, ctx: str) -> None:
             )
 
 
+# The file formats: arc sets (a probe's set) and IFSs (--system PATH).  An
+# unknown key raises ValueError naming its path inside the value, which
+# _parse prefixes with the field.
+
+
+def _object(value, keys: tuple, where: str = "") -> dict:
+    """value, checked to be a JSON object whose keys are all among keys."""
+    if not isinstance(value, dict):
+        raise TypeError(f"expected an object, got {value!r}")
+    for key in value:
+        if key not in keys:
+            raise ValueError(f"{where}{key}: unknown key (expected {', '.join(keys)})")
+    return value
+
+
+def _arcset(value) -> ArcSet:
+    """[{"start": "p/q", "length": "p/q"}, ...]"""
+    return normalize([
+        arc(**_object(item, ("start", "length"), f"[{i}]."))
+        for i, item in enumerate(value)
+    ])
+
+
+def _homeo(value, where: str) -> PLHomeo:
+    """{"offset": "p/q", "breakpoints": [["x", "y"], ...]}, both optional"""
+    obj = _object(value, ("offset", "breakpoints"), where)
+    return PLHomeo(
+        tuple((CirclePoint(frac(x)), CirclePoint(frac(y)))
+              for x, y in obj.get("breakpoints", ())),
+        frac(obj.get("offset", 0)),
+    )
+
+
+def _ifs(value) -> IFS:
+    """{"label": "...", "generators": [generator, ...]}, label optional"""
+    obj = _object(value, ("label", "generators"))
+    if "generators" not in obj:
+        raise ValueError("generators: required")
+    label = obj.get("label", "")
+    if not isinstance(label, str):
+        raise TypeError(f"label: expected a string, got {label!r}")
+    return IFS(
+        tuple(_homeo(g, f"generators[{i}].") for i, g in enumerate(obj["generators"])),
+        label,
+    )
+
+
+def _json(value: Any) -> Any:
+    """A resolved value as JSON: a rational becomes 'p/q', a point its value,
+    an arc set its arc list, a record (dataclass or NamedTuple) or dict an
+    object keyed by its field names, a tuple or list a list; other values
+    pass unchanged."""
+    if isinstance(value, Fraction):
+        return str(value)
+    if isinstance(value, CirclePoint):
+        return str(value.value)
+    if isinstance(value, ArcSet):
+        value = value.arcs
+    elif dataclasses.is_dataclass(value):
+        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
+    elif isinstance(value, tuple) and hasattr(value, "_fields"):
+        value = value._asdict()
+    if isinstance(value, dict):
+        return {key: _json(v) for key, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_json(v) for v in value]
+    return value
+
+
+# -- config --------------------------------------------------------------------
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Resolved experiment description; `echo` is the canonical JSON object
+    """Resolved experiment description; `echo` renders it as the JSON object
     written back into every bundle."""
 
     system_source: str | dict
@@ -184,13 +248,13 @@ class ExperimentConfig:
         # The output directory is deliberately not echoed: bundles describe
         # the experiment, and byte-identical bundles must not depend on
         # where they were written.
-        return {
+        return _json({
             "system": self.system_source,
             "system_params": self.system_params,
-            "probes": list(self.probes),
-            "precision": self.precision.to_obj(),
+            "probes": self.probes,
+            "precision": self.precision,
             "seed": self.seed,
-        }
+        })
 
 
 # Probes run when a builtin config lists none; unlisted fields take the
@@ -244,7 +308,7 @@ def parse_config(obj: dict, overrides: dict | None = None) -> ExperimentConfig:
     probes = tuple(_resolve_probe(p, i, overrides) for i, p in enumerate(probes_obj))
     if overrides.get("tol") is not None:
         # checked even when no probe of the config takes it
-        _parse(_rational, overrides["tol"], "--tol")
+        _parse(frac, overrides["tol"], "--tol")
 
     precision_obj = obj.get("precision", {})
     if not isinstance(precision_obj, dict):
@@ -260,48 +324,46 @@ def parse_config(obj: dict, overrides: dict | None = None) -> ExperimentConfig:
     if not isinstance(out_dir, str):
         raise ConfigError(f"field 'out': expected a directory path string, got {out_dir!r}")
     out_dir = overrides.get("out") or out_dir or "results"
-    seed = overrides.get("seed")
-    if seed is None:
-        seed = _parse(_integer(), obj.get("seed", 0), "seed")
     return ExperimentConfig(
         system_source=system,
         probes=probes,
         precision=precision,
         out_dir=out_dir,
-        seed=int(seed),
+        seed=_parse(_integer(), obj.get("seed", 0), "seed"),
         system_params=system_params,
     )
 
 
-# Builtin construction parameters; file-based systems take system_params
-# free-form.
+# theorem1's config keys, each naming the Theorem1Params attribute it sets.
+_THEOREM1_KEYS = {
+    "alpha": "alpha", "lambda": "gap_ratio", "s": "gap_mass", "stage": "stage",
+    "sigma": "sigma", "generators": "approximant_count", "gap_index": "gap_index",
+}
+
+# Builtin construction parameters, with theorem1's defaults read from
+# Theorem1Params(); file-based systems take system_params free-form.
 _SYSTEM_PARAMS = {
     "theorem1": {
-        key: (_integer() if isinstance(default, int) else _rational, default)
-        for key, default in Theorem1Params().to_obj().items()
+        key: (_integer() if isinstance(default, int) else frac, default)
+        for key, attr in _THEOREM1_KEYS.items()
+        for default in [getattr(Theorem1Params(), attr)]
     },
-    "theorem2": {"alpha": (_rational, "34/55")},
+    "theorem2": {"alpha": (frac, "34/55")},
 }
 
 
 def _resolve_precision(obj: dict, system) -> PrecisionPolicy:
-    defaults = (PROBE_POLICY if system == "theorem1" else EXACT).to_obj()
+    default = PROBE_POLICY if system == "theorem1" else EXACT
     nullable = lambda parse: lambda value: None if value is None else parse(value)
-    resolved = _fields(
+    return PrecisionPolicy(**_fields(
         {
-            "denominator_limit": (nullable(_integer(1)), defaults["denominator_limit"]),
-            "coarsen": (nullable(_positive), defaults["coarsen"]),
-            "arc_cap": (_integer(1), defaults["arc_cap"]),
+            "denominator_limit": (nullable(_integer(1)), default.denominator_limit),
+            "coarsen": (nullable(_positive), default.coarsen),
+            "arc_cap": (_integer(1), default.arc_cap),
         },
         obj,
         "precision.",
-    )
-    coarsen = resolved.get("coarsen")
-    return PrecisionPolicy(
-        denominator_limit=resolved.get("denominator_limit"),
-        coarsen_eta=None if coarsen is None else frac(coarsen),
-        arc_cap=resolved["arc_cap"],
-    )
+    ))
 
 
 # -- system resolution ---------------------------------------------------------
@@ -322,20 +384,18 @@ def resolve_system(config: ExperimentConfig) -> ResolvedSystem:
     # The builders own the parameter rules; a rejection is a config error.
     try:
         if source == "theorem2":
-            forward = theorem2_ifs(frac(config.system_params["alpha"]))
+            forward = theorem2_ifs(config.system_params["alpha"])
             return ResolvedSystem(forward, inverse_system(forward))
         if source == "theorem1":
-            bundle = build_theorem1(Theorem1Params.from_obj(config.system_params))
+            bundle = build_theorem1(Theorem1Params(**{
+                attr: config.system_params[key] for key, attr in _THEOREM1_KEYS.items()
+            }))
             return ResolvedSystem(
                 bundle.forward, bundle.backward, bundle.approximants[0].k_set
             )
     except (ValueError, KeyError) as exc:
         raise ConfigError(f"field 'system_params': {exc}") from None
-    obj = _read_json(source["path"], "system.path")
-    try:
-        forward = IFS.from_obj(obj)
-    except (ValueError, KeyError, TypeError, ZeroDivisionError) as exc:
-        raise ConfigError(f"field 'system.path': cannot load IFS: {exc}") from None
+    forward = _parse(_ifs, _read_json(source["path"], "system.path"), "system.path")
     return ResolvedSystem(forward, inverse_system(forward))
 
 
@@ -377,7 +437,7 @@ def _row(label: str, exact: str, *rest) -> tuple[str, ...]:
 
 
 def _start(spec: dict) -> ArcSet:
-    return point_set([CirclePoint(frac(spec["start"]))])
+    return point_set([CirclePoint(spec["start"])])
 
 
 def _run_iterate(spec, target, system, policy) -> dict:
@@ -398,23 +458,23 @@ def _step_rows(report: dict) -> list[tuple[str, ...]]:
 
 _KINDS = {
     "attractor": _Kind(
-        fields={"start": (_rational, 0), "budget": (_integer(1), 64),
+        fields={"start": (frac, 0), "budget": (_integer(1), 64),
                 "tol": (_positive, "1/256")},
         roles={"max_iter": "budget", "tol": "tol", "start": "start"},
         run=lambda spec, target, system, policy: attractor_probe(
-            target, _start(spec), budget=spec["budget"], tol=frac(spec["tol"]), policy=policy
+            target, _start(spec), budget=spec["budget"], tol=spec["tol"], policy=policy
         ),
         rows=_step_rows,
         header=_STEP_HEADER,
     ),
     "covering": _Kind(
-        fields={"center": (_rational, 0), "length": (_arc_length, "1/64"),
+        fields={"center": (frac, 0), "length": (_arc_length, "1/64"),
                 "budget": (_integer(1), 64)},
         roles={"max_iter": "budget", "start": "center"},
         run=lambda spec, target, system, policy: {
             **{key: spec[key] for key in ("center", "length", "budget")},
             "covering_time": covering_time(
-                target, arc(frac(spec["center"]) - frac(spec["length"]) / 2, spec["length"]),
+                target, arc(spec["center"] - spec["length"] / 2, spec["length"]),
                 spec["budget"], policy,
             ),
         },
@@ -430,11 +490,11 @@ _KINDS = {
         roles={"max_iter": "truncation", "start": "base_points"},
         run=lambda spec, target, system, policy: {"base_points": [
             equicontinuity_probe(
-                target, CirclePoint(frac(v)), [frac(d) for d in spec["deltas"]],
+                target, point, spec["deltas"],
                 truncation=spec["truncation"], samples_per_delta=spec["samples_per_delta"],
                 policy=policy,
             )
-            for v in spec["base_points"]
+            for point in spec["base_points"]
         ]},
         rows=lambda report: [
             _row(f"x={base['base_point']};delta={entry['delta']}", entry["modulus"],
@@ -446,12 +506,10 @@ _KINDS = {
     # Without a set, invariance checks the system's own invariant set; run()
     # rejects that on systems without one before any probe runs.
     "invariance": _Kind(
-        fields={"tol": (_rational, 0), "set": (_arcset, None)},
+        fields={"tol": (frac, 0), "set": (_arcset, None)},
         roles={"tol": "tol"},
         run=lambda spec, target, system, policy: invariance_check(
-            target,
-            arcset_from_obj(spec["set"]) if "set" in spec else system.invariant_set,
-            frac(spec["tol"]),
+            target, spec.get("set", system.invariant_set), spec["tol"]
         ),
         rows=lambda report: [
             _row(f"generator_{i + 1}", dist, None, None)
@@ -459,19 +517,18 @@ _KINDS = {
         ],
     ),
     "iterate": _Kind(
-        fields={"start": (_rational, 0), "steps": (_integer(0), 16)},
+        fields={"start": (frac, 0), "steps": (_integer(0), 16)},
         roles={"max_iter": "steps", "start": "start"},
         run=_run_iterate,
         rows=_step_rows,
         header=_STEP_HEADER,
     ),
     "minimality": _Kind(
-        fields={"start": (_rational, 0), "depth": (_integer(1), 12),
+        fields={"start": (frac, 0), "depth": (_integer(1), 12),
                 "epsilon": (_positive, "1/64")},
         roles={"max_iter": "depth", "tol": "epsilon", "start": "start"},
         run=lambda spec, target, system, policy: orbit_density_probe(
-            target, CirclePoint(frac(spec["start"])), depth=spec["depth"],
-            epsilon=frac(spec["epsilon"]),
+            target, CirclePoint(spec["start"]), depth=spec["depth"], epsilon=spec["epsilon"]
         ),
         rows=lambda report: [_row(
             f"epsilon={report['epsilon']}", report["largest_gap"], None, report["depth"]
@@ -482,8 +539,7 @@ _KINDS = {
                 "truncation": (_integer(1), 64)},
         roles={"max_iter": "truncation", "start": "centers"},
         run=lambda spec, target, system, policy: sensitivity_probe(
-            target, [frac(v) for v in spec["lengths"]],
-            [CirclePoint(frac(v)) for v in spec["centers"]],
+            target, spec["lengths"], spec["centers"],
             truncation=spec["truncation"], policy=policy,
         ),
         rows=lambda report: [
@@ -527,30 +583,8 @@ def _probe_csv(spec: dict, report: dict) -> str:
 
 
 # -- report bundle -------------------------------------------------------------
-# Reports are plain records; _json is the one place that renders them, so a
-# report's field names are its bundle keys.
-
-
-def _json(value: Any) -> Any:
-    """A probe report as bundle JSON: a rational becomes 'p/q', a point its
-    value, an arc set its arc list, a record (dataclass or NamedTuple) or
-    dict an object keyed by its field names, a tuple or list a list; other
-    values pass unchanged."""
-    if isinstance(value, Fraction):
-        return rational_str(value)
-    if isinstance(value, CirclePoint):
-        return rational_str(value.value)
-    if isinstance(value, ArcSet):
-        return arcset_to_obj(value)
-    if dataclasses.is_dataclass(value):
-        value = {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
-    elif isinstance(value, tuple) and hasattr(value, "_fields"):
-        value = value._asdict()
-    if isinstance(value, dict):
-        return {key: _json(v) for key, v in value.items()}
-    if isinstance(value, (tuple, list)):
-        return [_json(v) for v in value]
-    return value
+# Reports are plain records that _json renders, so a report's field names are
+# its bundle keys.
 
 
 @dataclass
@@ -585,12 +619,16 @@ def run(config: ExperimentConfig) -> ReportBundle:
         if spec["probe"] == "invariance" and "set" not in spec and system.invariant_set is None:
             raise ConfigError(f"field 'probes[{i}].set': required for invariance on this system")
     out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # out, or a directory on its path, is a file
+        raise ConfigError(f"field 'out': cannot create {out_dir}: {exc.strerror}") from None
 
     bundle = ReportBundle(config=config, reports=[], timings=[])
     cap_error: ResourceCapError | None = None
     for i, spec in enumerate(config.probes):
         started = time.perf_counter()
+        params = _json(spec)
         try:
             report = _json(_KINDS[spec["probe"]].run(
                 spec, system.pick(spec["direction"]), system, config.precision
@@ -598,11 +636,11 @@ def run(config: ExperimentConfig) -> ReportBundle:
         except ResourceCapError as exc:
             cap_error = exc
             bundle.reports.append(
-                {"probe": spec["probe"], "params": spec, "error": str(exc)}
+                {"probe": spec["probe"], "params": params, "error": str(exc)}
             )
             bundle.timings.append(0.0)
             continue
-        bundle.reports.append({"probe": spec["probe"], "params": spec, "report": report})
+        bundle.reports.append({"probe": spec["probe"], "params": params, "report": report})
         bundle.timings.append(time.perf_counter() - started)
         _atomic_write(
             out_dir / f"probe_{i:02d}_{spec['probe']}.csv", _probe_csv(spec, report)
@@ -643,18 +681,16 @@ def describe(config: ExperimentConfig) -> dict:
     )
     diag = diagonal_containment_check(forward)
     diag_inverse = diagonal_containment_check(system.backward)
-    return {
+    return _json({
         "label": forward.label,
         "generator_count": len(gens),
-        "generators": [g.to_obj() for g in gens],
-        "fixed_points": [
-            None if s is None else arcset_to_obj(s) for s in diag.fixed_sets
-        ],
+        "generators": gens,
+        "fixed_points": diag.fixed_sets,
         "diagonal_containment": diag.covered,
         "diagonal_containment_inverse": diag_inverse.covered,
         "symmetric": all(ginv in gen_set for ginv in inverses),
         "symmetric_part": symmetric_part,
-    }
+    })
 
 
 def _describe_text(info: dict) -> str:
@@ -695,7 +731,6 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
 def _add_common_flags(p: argparse.ArgumentParser) -> None:
     _add_source_flags(p)
     p.add_argument("--out", help="output directory")
-    p.add_argument("--seed", type=int, help="recorded RNG seed (sampling is deterministic)")
     p.add_argument("--max-iter", type=int, dest="max_iter", help="iteration budget override")
     p.add_argument("--tol", help="tolerance p/q override")
     p.add_argument(
@@ -711,7 +746,7 @@ def _load_config(args, extra_probes=None) -> ExperimentConfig:
     if system and system not in ("theorem1", "theorem2"):
         system = {"path": system}
     # describe takes none of the other flags, and only probe takes --start
-    flags = ("out", "seed", "denominator_limit", "coarsen", "max_iter", "tol", "start")
+    flags = ("out", "denominator_limit", "coarsen", "max_iter", "tol", "start")
     overrides = {"system": system, **{key: getattr(args, key, None) for key in flags}}
     if extra_probes is not None:
         raw = dict(raw)

@@ -298,32 +298,6 @@ class Theorem1Params:
     approximant_count: int = 2
     gap_index: int = 0
 
-    def to_obj(self) -> dict:
-        from .circle import rational_str
-
-        return {
-            "alpha": rational_str(self.alpha),
-            "lambda": rational_str(self.gap_ratio),
-            "s": rational_str(self.gap_mass),
-            "stage": self.stage,
-            "sigma": rational_str(self.sigma),
-            "generators": self.approximant_count,
-            "gap_index": self.gap_index,
-        }
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "Theorem1Params":
-        base = cls()
-        return cls(
-            alpha=frac(obj.get("alpha", base.alpha)),
-            gap_ratio=frac(obj.get("lambda", base.gap_ratio)),
-            gap_mass=frac(obj.get("s", base.gap_mass)),
-            stage=int(obj.get("stage", base.stage)),
-            sigma=frac(obj.get("sigma", base.sigma)),
-            approximant_count=int(obj.get("generators", base.approximant_count)),
-            gap_index=int(obj.get("gap_index", base.gap_index)),
-        )
-
 
 @dataclass(frozen=True)
 class Theorem1System:

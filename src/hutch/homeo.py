@@ -23,7 +23,6 @@ from .circle import (
     RationalLike,
     frac,
     normalize,
-    rational_str,
 )
 
 
@@ -257,27 +256,6 @@ class PLHomeo:
             x = self.lift(x)
         return (Fraction(x - 1, n), Fraction(x + 1, n))
 
-    # -- serialization -------------------------------------------------------
-
-    def to_obj(self) -> dict:
-        return {
-            "offset": rational_str(self.offset),
-            "breakpoints": [
-                [rational_str(x.value), rational_str(y.value)]
-                for x, y in self.breakpoints
-            ],
-        }
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "PLHomeo":
-        if not isinstance(obj, dict):
-            raise TypeError(f"a generator must be an object, got {obj!r}")
-        pts = tuple(
-            (CirclePoint(frac(x)), CirclePoint(frac(y)))
-            for x, y in obj.get("breakpoints", [])
-        )
-        return cls(pts, frac(obj.get("offset", 0)))
-
 
 def _lift_table(
     pts: Sequence[tuple[CirclePoint, CirclePoint]],
@@ -322,22 +300,3 @@ def _piece_table(
         g = gcd(a, c, d)
         table.append((xn, xd, a // g, c // g, d // g))
     return table
-
-
-@dataclass(frozen=True)
-class Word:
-    """Finite composition selector over generators 1..k; the empty word is
-    the identity."""
-
-    symbols: tuple[int, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "symbols", tuple(int(s) for s in self.symbols))
-        if any(s < 1 for s in self.symbols):
-            raise ValueError("word symbols are 1-based generator indices")
-
-    def __len__(self) -> int:
-        return len(self.symbols)
-
-    def __iter__(self):
-        return iter(self.symbols)

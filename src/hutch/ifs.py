@@ -1,6 +1,6 @@
 """Iterated function systems of circle homeomorphisms and their Hutchinson
-operators on arc unions: iteration, word maps, and dynamical probes
-(invariance, orbit density, attractor convergence).
+operators on arc unions: iteration and dynamical probes (invariance, orbit
+density, attractor convergence).
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ from .circle import (
     gap_radius,
     hausdorff,
     normalize_segments,
-    rational_str,
     round_arcset,
 )
-from .homeo import PLHomeo, Word
+from .homeo import PLHomeo
 
 
 class ResourceCapError(RuntimeError):
@@ -45,19 +44,6 @@ class IFS:
     def __len__(self) -> int:
         return len(self.generators)
 
-    def to_obj(self) -> dict:
-        return {
-            "label": self.label,
-            "generators": [g.to_obj() for g in self.generators],
-        }
-
-    @classmethod
-    def from_obj(cls, obj: dict) -> "IFS":
-        return cls(
-            tuple(PLHomeo.from_obj(g) for g in obj["generators"]),
-            obj.get("label", ""),
-        )
-
 
 def inverse_system(system: IFS) -> IFS:
     """The IFS of inverses, in the same generator order."""
@@ -72,32 +58,25 @@ class PrecisionPolicy:
     """Optional per-step precision and size controls for iteration.
 
     Exact arithmetic is the default (all fields off).  denominator_limit
-    rounds endpoints to denominators <= D after each step; coarsen_eta fills
-    gaps shorter than eta; arc_cap makes orbit abort (ResourceCapError) at a
+    rounds endpoints to denominators <= D after each step; coarsen fills
+    gaps shorter than it; arc_cap makes orbit abort (ResourceCapError) at a
     set of more arcs than the cap while coarsening is off.  Values of the
     wrong type (D and cap not int, eta not Fraction) or out of range (D < 1,
     eta <= 0, cap < 1) raise ValueError naming the field.
     """
 
     denominator_limit: int | None = None
-    coarsen_eta: Fraction | None = None
+    coarsen: Fraction | None = None
     arc_cap: int = 100_000
 
     def __post_init__(self) -> None:
-        limit, eta, cap = self.denominator_limit, self.coarsen_eta, self.arc_cap
+        limit, eta, cap = self.denominator_limit, self.coarsen, self.arc_cap
         if limit is not None and (type(limit) is not int or limit < 1):
             raise ValueError(f"denominator_limit must be None or an int >= 1, got {limit}")
         if eta is not None and (not isinstance(eta, Fraction) or eta <= 0):
-            raise ValueError(f"coarsen_eta must be None or a Fraction > 0, got {eta}")
+            raise ValueError(f"coarsen must be None or a Fraction > 0, got {eta}")
         if type(cap) is not int or cap < 1:
             raise ValueError(f"arc_cap must be an int >= 1, got {cap}")
-
-    def to_obj(self) -> dict:
-        return {
-            "denominator_limit": self.denominator_limit,
-            "coarsen": None if self.coarsen_eta is None else rational_str(self.coarsen_eta),
-            "arc_cap": self.arc_cap,
-        }
 
 
 EXACT = PrecisionPolicy()
@@ -107,7 +86,7 @@ EXACT = PrecisionPolicy()
 # endpoint grid keeps rounding noise (<= 2^-16 per step) and the coarsening
 # slack (2^-11) far below every probe tolerance in use.
 PROBE_POLICY = PrecisionPolicy(
-    denominator_limit=2**16, coarsen_eta=Fraction(1, 2**11)
+    denominator_limit=2**16, coarsen=Fraction(1, 2**11)
 )
 
 
@@ -127,7 +106,7 @@ def hutchinson_step(
     """One Hutchinson step with the policy's rounding and coarsening applied
     in the same normalization pass; returns (F(A) processed, coarsened?).
     The arc cap is orbit's to check."""
-    eta = policy.coarsen_eta
+    eta = policy.coarsen
     runs = RoundedRuns(_images(system.generators, a), policy.denominator_limit, eta)
     # ifs's own binding, not circle's: tracers count segments through it as step work
     out, coarsened = _normalize_segments_flagged(runs, eta)
@@ -144,7 +123,7 @@ def orbit(
     is yielded.  Only the current set is held, and a step runs only when it
     is pulled, so each consumer keeps its own stopping rule.
     """
-    limit, eta, cap = policy.denominator_limit, policy.coarsen_eta, policy.arc_cap
+    limit, eta, cap = policy.denominator_limit, policy.coarsen, policy.arc_cap
     current, coarse = round_arcset(start, limit, eta)
     while True:
         if eta is None and len(current.arcs) > cap:
@@ -160,16 +139,6 @@ def iterate(
     if n < 0:
         raise ValueError("iteration count must be >= 0")
     return list(islice(orbit(system, a, policy), n + 1))
-
-
-def word_map(system: IFS, word: Word | Sequence[int], x: CirclePoint) -> CirclePoint:
-    """Apply f_{w_n} o ... o f_{w_1} to x (first symbol acts first)."""
-    k = len(system.generators)
-    for s in word:
-        if not 1 <= s <= k:
-            raise ValueError(f"word symbol {s} out of range 1..{k}")
-        x = system.generators[s - 1](x)
-    return x
 
 
 @dataclass(frozen=True)

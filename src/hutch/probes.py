@@ -180,7 +180,7 @@ def covering_time(
         raise ValueError("U must have positive length")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    slack = policy.coarsen_eta if policy.coarsen_eta is not None else Fraction(0)
+    slack = policy.coarsen if policy.coarsen is not None else Fraction(0)
 
     steps = islice(orbit(system, normalize([u]), policy), budget + 1)
     for n, (current, _) in enumerate(steps):

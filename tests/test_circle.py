@@ -15,8 +15,6 @@ from hutch.circle import (
     _limit_denominator,
     _normalize_segments_flagged,
     arc,
-    arcset_from_obj,
-    arcset_to_obj,
     circle_dist,
     complement_gaps,
     full_circle,
@@ -28,6 +26,7 @@ from hutch.circle import (
     round_arcset,
     union,
 )
+from hutch.cli import _arcset, _json
 from conftest import random_arcset
 
 F = Fraction
@@ -602,7 +601,7 @@ def test_arcset_json_round_trip():
     rng = random.Random(41)
     for _ in range(20):
         a = random_arcset(rng)
-        assert arcset_from_obj(arcset_to_obj(a)) == a
+        assert _arcset(_json(a)) == a
 
 
 def test_canonical_constructor_rejects_overlap():

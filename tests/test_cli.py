@@ -15,6 +15,7 @@ from hutch.cli import (
     EXIT_CONFIG,
     EXIT_RESOURCE,
     _KINDS,
+    _json,
     describe,
     main,
     parse_config,
@@ -62,20 +63,38 @@ def test_unknown_system_rejected():
 
 
 def test_default_probes_resolved():
-    assert parse_config({"system": "theorem1"}).probes == (
+    assert _json(parse_config({"system": "theorem1"}).probes) == [
         {"probe": "sensitivity", "direction": "backward", "lengths": ["1/64"],
          "centers": [str(F(k, 16)) for k in range(16)], "truncation": 64},
         {"probe": "equicontinuity", "direction": "forward",
          "deltas": ["1/16", "1/64", "1/256", "1/1024"],
          "base_points": [str(F(k, 8)) for k in range(8)],
          "truncation": 32, "samples_per_delta": 4},
-    )
-    assert parse_config({"system": "theorem2"}).probes == (
+    ]
+    assert _json(parse_config({"system": "theorem2"}).probes) == [
         {"probe": "attractor", "direction": "forward", "start": "1/3",
          "budget": 64, "tol": "1/256"},
         {"probe": "minimality", "direction": "forward", "start": "1/3",
          "depth": 12, "epsilon": "1/64"},
-    )
+    ]
+
+
+def _committed_config(system):
+    return json.loads((ROOT / "results" / system / "bundle.json").read_text())["config"]
+
+
+@pytest.mark.parametrize(
+    "config",
+    [
+        *(pytest.param(_committed_config(s), id=f"committed-{s}")
+          for s in ("theorem1", "theorem2")),
+        *(pytest.param(parse_config({"system": s}).echo(), id=f"default-{s}")
+          for s in ("theorem1", "theorem2")),
+    ],
+)
+def test_config_echo_round_trip(config):
+    # an echoed config, parsed again, echoes the same object
+    assert parse_config(config).echo() == config
 
 
 def test_unknown_probe_rejected():
@@ -200,6 +219,35 @@ def test_unknown_probe_rejected():
                 (".", "path-is-directory"),
             ]
         ),
+        # a misspelt key must not load as its default: the key is named
+        *(
+            pytest.param(
+                {"system": {"path": path}, "probes": []}, [], f"system.path': {key}", id=case
+            )
+            for path, key, case in [
+                ("generator-typo.json", "generators[0].offest", "ifs-generator-unknown-key"),
+                ("label-typo.json", "lable", "ifs-unknown-key"),
+                ("label-list.json", "label", "ifs-label-not-string"),
+            ]
+        ),
+        pytest.param(
+            {"system": "theorem2", "probes": [
+                {"probe": "invariance", "set": [{"start": "0", "length": "1/2", "end": "1/2"}]}
+            ]},
+            [],
+            "probes[0].set': [0].end",
+            id="arcset-unknown-key",
+        ),
+        # --out names a file, or a path through one
+        *(
+            pytest.param(
+                {"system": "theorem2", "probes": [{"probe": "covering", "budget": 2}]},
+                ["--out", out],
+                "'out'",
+                id=case,
+            )
+            for out, case in [("bad.json", "out-is-file"), ("bad.json/sub", "out-under-file")]
+        ),
         pytest.param(
             {"system": {"path": "generators-int.json", "typo": 1}, "probes": []},
             [],
@@ -213,13 +261,17 @@ def test_cli_exit_code_on_malformed_config(
 ):
     # the IFS files the system.path cases name, relative to the run directory
     monkeypatch.chdir(tmp_path)
-    for name, generators in [
-        ("generators-int.json", [1]),
-        ("generators-str.json", "ab"),
-        ("offset-zero-denominator.json", [{"offset": "1/0", "breakpoints": []}]),
-        ("breakpoint-boolean.json", [{"breakpoints": [[False, "0"], ["1/2", "1/2"]]}]),
+    for name, ifs in [
+        ("generators-int.json", {"generators": [1]}),
+        ("generators-str.json", {"generators": "ab"}),
+        ("offset-zero-denominator.json", {"generators": [{"offset": "1/0", "breakpoints": []}]}),
+        ("breakpoint-boolean.json",
+         {"generators": [{"breakpoints": [[False, "0"], ["1/2", "1/2"]]}]}),
+        ("generator-typo.json", {"generators": [{"offest": "1/3"}]}),
+        ("label-typo.json", {"lable": "x", "generators": [{"offset": "1/3"}]}),
+        ("label-list.json", {"label": ["x"], "generators": [{"offset": "1/3"}]}),
     ]:
-        (tmp_path / name).write_text(json.dumps({"generators": generators}))
+        (tmp_path / name).write_text(json.dumps(ifs))
     cfg = tmp_path / "bad.json"
     cfg.write_text(json.dumps(config))
     code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")] + flags)
@@ -444,7 +496,7 @@ def test_describe_symmetric_rotation_pair(tmp_path):
         (PLHomeo.rotation(F(1, 3)), PLHomeo.rotation(F(2, 3))), label="pair"
     )
     path = tmp_path / "pair.json"
-    path.write_text(json.dumps(system.to_obj()))
+    path.write_text(json.dumps(_json(system)))
     config = parse_config({"system": {"path": str(path)}, "probes": []})
     info = describe(config)
     assert info["symmetric"] is True
@@ -456,7 +508,7 @@ def test_describe_symmetric_rotation_pair(tmp_path):
 
 def test_ifs_file_round_trip(tmp_path, theorem2):
     path = tmp_path / "t2.json"
-    path.write_text(json.dumps(theorem2.to_obj()))
+    path.write_text(json.dumps(_json(theorem2)))
     config = parse_config({"system": {"path": str(path)}, "probes": []})
     from hutch.cli import resolve_system
 
@@ -485,6 +537,23 @@ def test_cli_describe_text(capsys):
     assert "diagonal containment: True" in out
 
 
+@pytest.mark.parametrize(
+    "system, flags, digest",
+    [
+        ("theorem1", [], "254d3cdfd453ae0e49552f1980c202dcbabfabf9a84ffc16b105c7fa2a415f96"),
+        ("theorem1", ["--json"],
+         "89d8b0a671021c9795e8f11df2858d7104ccee49020ca318e311cf013e5cdcba"),
+        ("theorem2", [], "0709bcc61c0ef578cd1b66120fcfdb9995d23e912e805c79f747e257e75768f8"),
+        ("theorem2", ["--json"],
+         "b68325b7224bd3557fcb5cd4765ccdaffe3ace6da15af4d0960dc18d68a31484"),
+    ],
+)
+def test_cli_describe_bytes(capsys, system, flags, digest):
+    # the digests pin describe's whole output, generators and fixed sets included
+    assert main(["describe", "--system", system, *flags]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_cli_iterate(tmp_path, capsys):
     # a trajectory is the iterate probe; --max-iter sets its step count
     code = main(["probe", "iterate", "--system", "theorem2", "--start", "1/3",
@@ -501,6 +570,8 @@ def test_cli_iterate(tmp_path, capsys):
         ["describe", "--system", "theorem2", "--tol", "1/0"],
         ["describe", "--system", "theorem2", "--out", "x"],
         ["iterate", "--system", "theorem2"],
+        # nothing is random: there is no seed flag (a config may still carry one)
+        ["run", "--system", "theorem2", "--seed", "1", "--tol", "abc"],
     ],
 )
 def test_cli_rejects_unknown_arguments(argv, capsys):

@@ -5,7 +5,8 @@ from fractions import Fraction
 import pytest
 
 from hutch.circle import Arc, CirclePoint, arc, full_circle, normalize
-from hutch.homeo import InvalidHomeoError, PLHomeo, Word
+from hutch.cli import _homeo, _json
+from hutch.homeo import InvalidHomeoError, PLHomeo
 from conftest import random_point
 
 F = Fraction
@@ -266,21 +267,14 @@ def test_rotation_number_of_identity():
     assert lo <= 0 <= hi
 
 
-# -- serialization / word --------------------------------------------------------------
+# -- serialization --------------------------------------------------------------
 
 
 def test_homeo_json_round_trip(theorem2, theorem1):
     rng = random.Random(21)
     for g in generators(theorem2, theorem1):
-        back = PLHomeo.from_obj(g.to_obj())
+        back = _homeo(_json(g), "")
         assert back == g
         for _ in range(16):
             x = random_point(rng)
             assert back(x) == g(x)
-
-
-def test_word_validation():
-    assert len(Word(())) == 0
-    assert list(Word((2, 1, 2))) == [2, 1, 2]
-    with pytest.raises(ValueError):
-        Word((0,))

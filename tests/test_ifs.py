@@ -18,7 +18,7 @@ from hutch.circle import (
     point_set,
     union,
 )
-from hutch.homeo import PLHomeo, Word
+from hutch.homeo import PLHomeo
 from hutch.ifs import (
     EXACT,
     IFS,
@@ -37,7 +37,6 @@ from hutch.ifs import (
     iterate,
     orbit,
     orbit_density_probe,
-    word_map,
 )
 from hutch.probes import covering_time
 from conftest import ALPHA, random_arcset, random_point
@@ -127,7 +126,7 @@ def test_iterate_resource_cap(theorem2):
 
 
 def test_iterate_records_coarsening(theorem2):
-    policy = PrecisionPolicy(coarsen_eta=F(1, 16))
+    policy = PrecisionPolicy(coarsen=F(1, 16))
     steps = iterate(theorem2, point_set([CirclePoint(F(1, 3))]), 8, policy)
     assert any(coarse for _, coarse in steps)
 
@@ -135,10 +134,10 @@ def test_iterate_records_coarsening(theorem2):
 def test_orbit_consumers_agree(theorem2):
     # iterate, covering_time and attractor_probe all consume the one orbit
     # engine; each applies only its own stopping rule to the same steps
-    policy = PrecisionPolicy(denominator_limit=2**10, coarsen_eta=F(1, 256))
+    policy = PrecisionPolicy(denominator_limit=2**10, coarsen=F(1, 256))
     u = Arc(CirclePoint(F(1, 3)), F(1, 64))
     steps = iterate(theorem2, normalize([u]), 16, policy)
-    covered = [s.is_full or gap_radius(s) <= policy.coarsen_eta for s, _ in steps]
+    covered = [s.is_full or gap_radius(s) <= policy.coarsen for s, _ in steps]
     assert covering_time(theorem2, u, 16, policy) == covered.index(True)
     report = attractor_probe(
         theorem2, normalize([u]), budget=16, tol=F(1, 64), policy=policy
@@ -152,9 +151,9 @@ def test_orbit_consumers_agree(theorem2):
 
 @pytest.mark.parametrize(
     "field, value",
-    [("denominator_limit", 0), ("coarsen_eta", F(-1)), ("coarsen_eta", F(0)),
+    [("denominator_limit", 0), ("coarsen", F(-1)), ("coarsen", F(0)),
      ("arc_cap", 0), ("denominator_limit", 2.5), ("denominator_limit", True),
-     ("coarsen_eta", 0.001), ("coarsen_eta", "1/2"), ("arc_cap", 2.5),
+     ("coarsen", 0.001), ("coarsen", "1/2"), ("arc_cap", 2.5),
      ("arc_cap", True)],
 )
 def test_precision_policy_rejects_bad_values(field, value):
@@ -165,7 +164,7 @@ def test_precision_policy_rejects_bad_values(field, value):
 def test_probe_policy_orbits_match_rounding_every_segment(theorem1, theorem2):
     # the reference step rounds both ends of every image segment, then
     # normalises; in exact mode it is the plain Hutchinson operator
-    limit, eta = PROBE_POLICY.denominator_limit, PROBE_POLICY.coarsen_eta
+    limit, eta = PROBE_POLICY.denominator_limit, PROBE_POLICY.coarsen
     flags = set()
     for system in (theorem1.forward, theorem1.backward):
         for k in (3, 10):
@@ -212,25 +211,6 @@ def test_steps_normalise_through_the_ifs_binding_and_step_zero_through_circle(
         next(steps)
         next(steps)
         assert calls == {"ifs": 2, "circle": 1}
-
-
-# -- word_map ---------------------------------------------------------------------
-
-
-def test_empty_word_is_identity(theorem2):
-    x = CirclePoint(F(2, 7))
-    assert word_map(theorem2, Word(()), x) == x
-
-
-def test_word_applies_first_symbol_first(theorem2):
-    x = CirclePoint(F(5, 8))
-    assert word_map(theorem2, Word((4, 3)), x) == CirclePoint(F(7, 8))
-    assert word_map(theorem2, Word((3, 4)), x) == CirclePoint(F(3, 4))
-
-
-def test_word_symbol_out_of_range(theorem2):
-    with pytest.raises(ValueError, match="out of range"):
-        word_map(theorem2, Word((5,)), CirclePoint(0))
 
 
 # -- orbit_density_probe ------------------------------------------------------------
