@@ -582,38 +582,26 @@ def _probe_csv(spec: dict, report: dict) -> str:
     return "".join(",".join(row) + "\n" for row in [kind.header, *kind.rows(report)])
 
 
-# -- report bundle -------------------------------------------------------------
+# -- run -----------------------------------------------------------------------
 # Reports are plain records that _json renders, so a report's field names are
 # its bundle keys.
 
 
-@dataclass
-class ReportBundle:
-    config: ExperimentConfig
-    reports: list[dict]
-    timings: list[float]
-    partial: bool = False
+class Bundle(dict):
+    """The object run writes to bundle.json.  `reports` reads its report
+    list, as perfbench/make_references.py does."""
 
-    def to_obj(self) -> dict:
-        obj = {
-            "tool": {"name": "hutch", "version": __version__},
-            "config": self.config.echo(),
-            "reports": self.reports,
-        }
-        if self.partial:
-            obj["partial"] = True
-        return obj
+    @property
+    def reports(self) -> list[dict]:
+        return self["reports"]
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text)
-    os.replace(tmp, path)
-
-
-def run(config: ExperimentConfig) -> ReportBundle:
-    """Execute all configured probes and write bundle.json, per-probe CSVs,
-    and the timings sidecar into the output directory."""
+def run(config: ExperimentConfig) -> Bundle:
+    """Execute all configured probes, write the per-probe CSVs, bundle.json
+    and the timings sidecar into the output directory, and return the
+    object written to bundle.json.  A probe that exceeds a resource cap
+    records its error in place of a report, and the bundle is marked
+    partial."""
     system = resolve_system(config)
     for i, spec in enumerate(config.probes):
         if spec["probe"] == "invariance" and "set" not in spec and system.invariant_set is None:
@@ -624,47 +612,46 @@ def run(config: ExperimentConfig) -> ReportBundle:
     except OSError as exc:  # out, or a directory on its path, is a file
         raise ConfigError(f"field 'out': cannot create {out_dir}: {exc.strerror}") from None
 
-    bundle = ReportBundle(config=config, reports=[], timings=[])
-    cap_error: ResourceCapError | None = None
+    reports: list[dict] = []
+    timings: list[float] = []
     for i, spec in enumerate(config.probes):
         started = time.perf_counter()
-        params = _json(spec)
+        entry = {"probe": spec["probe"], "params": _json(spec)}
         try:
             report = _json(_KINDS[spec["probe"]].run(
                 spec, system.pick(spec["direction"]), system, config.precision
             ))
         except ResourceCapError as exc:
-            cap_error = exc
-            bundle.reports.append(
-                {"probe": spec["probe"], "params": params, "error": str(exc)}
-            )
-            bundle.timings.append(0.0)
+            reports.append({**entry, "error": str(exc)})
+            timings.append(0.0)
             continue
-        bundle.reports.append({"probe": spec["probe"], "params": params, "report": report})
-        bundle.timings.append(time.perf_counter() - started)
-        _atomic_write(
-            out_dir / f"probe_{i:02d}_{spec['probe']}.csv", _probe_csv(spec, report)
-        )
-    if cap_error is not None:
-        bundle.partial = True
-        _flush(bundle, out_dir)
-        raise cap_error
-    _flush(bundle, out_dir)
+        reports.append({**entry, "report": report})
+        timings.append(time.perf_counter() - started)
+        _write(out_dir / f"probe_{i:02d}_{spec['probe']}.csv", _probe_csv(spec, report))
+    bundle = Bundle(
+        tool={"name": "hutch", "version": __version__},
+        config=config.echo(),
+        reports=reports,
+    )
+    if any("error" in entry for entry in reports):
+        bundle["partial"] = True
+    _write(out_dir / "bundle.json", json.dumps(bundle, indent=2, sort_keys=True) + "\n")
+    _write(
+        out_dir / "timings.json",
+        json.dumps({"per_probe_s": timings, "total_s": sum(timings)}, indent=2) + "\n",
+    )
     return bundle
 
 
-def _flush(bundle: ReportBundle, out_dir: Path) -> None:
-    _atomic_write(
-        out_dir / "bundle.json",
-        json.dumps(bundle.to_obj(), indent=2, sort_keys=True) + "\n",
-    )
-    _atomic_write(
-        out_dir / "timings.json",
-        json.dumps(
-            {"per_probe_s": bundle.timings, "total_s": sum(bundle.timings)}, indent=2
-        )
-        + "\n",
-    )
+def _write(path: Path, text: str) -> None:
+    """Write text to path atomically, through a .tmp sibling; a file that
+    cannot be written is a ConfigError naming out."""
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_text(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise ConfigError(f"field 'out': cannot write {path}: {exc.strerror}") from None
 
 
 # -- describe ------------------------------------------------------------------
@@ -786,10 +773,7 @@ def main(argv: Sequence[str] | None = None) -> int:
             return 0
         if args.command == "run":
             config = _load_config(args)
-            bundle = run(config)
-            print(f"wrote {len(bundle.reports)} report(s) to {config.out_dir}")
-            return 0
-        if args.command == "probe":
+        else:
             spec = {"probe": args.kind, "direction": args.direction}
             if args.params:
                 try:
@@ -802,16 +786,19 @@ def main(argv: Sequence[str] | None = None) -> int:
                     raise ConfigError("field '--params': the probe kind is set by KIND")
                 spec.update(params)
             config = _load_config(args, extra_probes=[spec])
-            bundle = run(config)
-            print(json.dumps(bundle.reports[-1]["report"], indent=2, sort_keys=True))
-            return 0
-        raise AssertionError("unreachable")
+        bundle = run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ResourceCapError as exc:
-        print(f"resource cap: {exc} (partial results flushed)", file=sys.stderr)
+    if bundle.get("partial"):
+        error = [entry["error"] for entry in bundle["reports"] if "error" in entry][-1]
+        print(f"resource cap: {error} (partial results flushed)", file=sys.stderr)
         return EXIT_RESOURCE
+    if args.command == "run":
+        print(f"wrote {len(bundle['reports'])} report(s) to {config.out_dir}")
+    else:
+        print(json.dumps(bundle["reports"][-1]["report"], indent=2, sort_keys=True))
+    return 0
 
 
 if __name__ == "__main__":

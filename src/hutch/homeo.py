@@ -109,10 +109,6 @@ class PLHomeo:
 
     # -- evaluation ----------------------------------------------------------
 
-    @property
-    def is_rotation(self) -> bool:
-        return not self.breakpoints
-
     def lift(self, x: Fraction) -> Fraction:
         """The canonical lift (the one sending [x_0, x_0+1) into
         [y_0, y_0+1)), evaluated at any rational."""
@@ -158,19 +154,6 @@ class PLHomeo:
             return PLHomeo((), (-self.offset) % 1)
         flipped = sorted(((y, x) for x, y in self.breakpoints), key=lambda q: q[0])
         return PLHomeo(tuple(flipped))
-
-    def compose(self, other: "PLHomeo") -> "PLHomeo":
-        """self after other (self ∘ other)."""
-        if not self.breakpoints and not other.breakpoints:
-            return PLHomeo((), (self.offset + other.offset) % 1)
-        xs = {x for x, _ in other.breakpoints}
-        if self.breakpoints:
-            other_inv = other.invert()
-            xs.update(other_inv(x) for x, _ in self.breakpoints)
-        pts = tuple(
-            (x, self(other(x))) for x in sorted(xs, key=lambda p: p.value)
-        )
-        return PLHomeo(pts)
 
     # -- geometry ------------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""Empirical certification of equicontinuity and sensitivity.
+"""Empirical evidence for equicontinuity and sensitivity.
 
 The central object is the dynamical pseudo-metric
 d_F(x1, x2) = sup_n d_H(F^n({x1}), F^n({x2})), truncated at a recorded depth
@@ -6,9 +6,11 @@ N, hence always a lower bound of the true value and non-decreasing in N.
 The supremum here includes the n = 0 term, so d_F >= circle_dist.
 
 Sampling is deterministic (stratified grids), so every report is exactly
-reproducible.  Verdicts are empirical lower bounds and covering certificates,
-never proofs: sensitivity quantifies over all open sets and cannot be decided
-at desk scale.
+reproducible.  Verdicts are empirical lower bounds and heuristics, never
+proofs: sensitivity quantifies over all open sets and cannot be decided at
+desk scale.  The sensitivity probe's covering_bound, 1/2 - r with
+r = gap_radius(F^n({center})) at the covering time n, is a heuristic: covering
+proves a d_F-diameter of at least r only (ROADMAP item 1).
 """
 
 from __future__ import annotations
@@ -208,9 +210,11 @@ class SensitivityReport:
     """d_F-diameter evidence for sensitivity over a family of test arcs.
 
     Each arc carries two separate signals: the sampled-pair diameter
-    estimate, and (primary, when the arc covers within budget) the covering
-    certificate 1/2 - gap_radius(F^n(center)) at the covering time n.  The
-    overall lower bound is the min over arcs of the stronger signal.
+    estimate, and (when the arc covers within budget) the covering bound
+    1/2 - r, r = gap_radius(F^n(center)) at the covering time n.  The
+    covering bound is a heuristic; the sound value covering gives is r
+    (ROADMAP item 1).  The overall lower bound is the min over arcs of the
+    larger signal.
     """
 
     lengths: tuple[Fraction, ...]
@@ -231,11 +235,12 @@ def sensitivity_probe(
     """Probe the d_F-diameter of arcs of the given lengths at the given
     centers.
 
-    Per arc, the diameter is sampled over the endpoint/center pairs; covering
-    within the truncation budget additionally certifies a diameter of at
-    least 1/2 - gap_radius(F^n({center})) at the covering time n, and that
-    certificate is the primary evidence.  The verdict compares the overall
-    lower bound against the tested scales.
+    Per arc, the diameter is sampled over the endpoint/center pairs; when
+    the arc covers within the truncation budget, the heuristic covering
+    bound 1/2 - r, r = gap_radius(F^n({center})) at the covering time n, is
+    taken as well, and the larger of the two is the arc's evidence.
+    Covering proves a diameter of at least r only (ROADMAP item 1).  The
+    verdict compares the overall lower bound against the tested scales.
     """
     lens = [Fraction(l) for l in lengths]
     if not lens or any(l <= 0 for l in lens):

@@ -1,5 +1,4 @@
 import hashlib
-import importlib.util
 import json
 import random
 from fractions import Fraction
@@ -367,9 +366,24 @@ def test_cli_exit_code_on_resource_cap(tmp_path, capsys):
     )
     code = main(["run", "--config", str(cfg)])
     assert code == EXIT_RESOURCE
+    assert "arc count" in capsys.readouterr().err
     bundle = json.loads((tmp_path / "out" / "bundle.json").read_text())
     assert bundle["partial"] is True
     assert "error" in bundle["reports"][0]
+    # run returns the partial bundle it writes
+    assert run(parse_config(json.loads(cfg.read_text()))) == bundle
+
+
+@pytest.mark.parametrize("name", ["probe_00_covering.csv.tmp", "bundle.json"])
+def test_cli_unwritable_output_names_out(tmp_path, capsys, name):
+    # a directory where run writes a file: the CSV's temporary file, or the
+    # bundle itself once every probe has run
+    (tmp_path / name).mkdir()
+    code = main(["probe", "covering", "--system", "theorem2", "--max-iter", "2",
+                 "--out", str(tmp_path)])
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'out'" in err and name.removesuffix(".tmp") in err
 
 
 # -- run -------------------------------------------------------------------------
@@ -378,13 +392,14 @@ def test_cli_exit_code_on_resource_cap(tmp_path, capsys):
 def test_run_writes_bundle_and_csvs(tmp_path):
     config = small_theorem2_config(tmp_path / "out")
     bundle = run(config)
-    assert len(bundle.reports) == 2
+    assert len(bundle["reports"]) == 2
     out = tmp_path / "out"
     assert (out / "bundle.json").exists()
     assert (out / "probe_00_attractor.csv").exists()
     assert (out / "probe_01_minimality.csv").exists()
     assert (out / "timings.json").exists()
     payload = json.loads((out / "bundle.json").read_text())
+    assert bundle == payload
     assert payload["tool"]["name"] == "hutch"
     assert payload["config"]["seed"] == 0
 
@@ -648,18 +663,12 @@ def test_cli_flag_overrides(tmp_path):
     assert params["tol"] == "1/8"
 
 
-def _script(name: str):
-    path = ROOT / "scripts" / f"{name}.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-    return script
-
-
-def test_theorem2_script_reproduces_committed_results(tmp_path):
+def test_theorem2_config_reproduces_committed_results(tmp_path, monkeypatch):
     # bundle.json and the CSVs are deterministic; timings.json is wall clock
-    script = _script("run_theorem2")
-    run(script.config(tmp_path))
+    monkeypatch.chdir(ROOT)
+    config = json.loads(Path("configs/theorem2.json").read_text())
+    assert config["out"] == "results/theorem2"
+    assert main(["run", "--config", "configs/theorem2.json", "--out", str(tmp_path)]) == 0
     committed = ROOT / "results" / "theorem2"
     names = ["bundle.json"] + sorted(p.name for p in committed.glob("*.csv"))
     assert len(names) == 5
@@ -667,8 +676,8 @@ def test_theorem2_script_reproduces_committed_results(tmp_path):
         assert (tmp_path / name).read_bytes() == (committed / name).read_bytes(), name
 
 
-def test_theorem1_script_config_is_the_committed_one(tmp_path):
+def test_theorem1_config_is_the_committed_one():
     # the full run is too slow for this suite; its config is pinned instead
-    echo = _script("run_theorem1").config(tmp_path).echo()
-    committed = json.loads((ROOT / "results" / "theorem1" / "bundle.json").read_text())
-    assert echo == committed["config"]
+    config = json.loads((ROOT / "configs" / "theorem1.json").read_text())
+    assert config["out"] == "results/theorem1"
+    assert parse_config(config).echo() == _committed_config("theorem1")
