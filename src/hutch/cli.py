@@ -257,29 +257,14 @@ class ExperimentConfig:
         })
 
 
-# Probes run when a builtin config lists none; unlisted fields take the
-# defaults in _KINDS.
-DEFAULT_PROBES = {
-    "theorem2": [
-        {"probe": "attractor", "start": "1/3"},
-        {"probe": "minimality", "start": "1/3"},
-    ],
-    "theorem1": [
-        {"probe": "sensitivity", "direction": "backward"},
-        {"probe": "equicontinuity"},
-    ],
-}
-
-
-def parse_config(obj: dict, overrides: dict | None = None) -> ExperimentConfig:
-    """Validate a raw config object (plus CLI flag overrides) into an
-    ExperimentConfig; raises ConfigError naming the offending field."""
-    overrides = overrides or {}
+def parse_config(obj: dict) -> ExperimentConfig:
+    """Validate a raw config object into an ExperimentConfig; raises
+    ConfigError naming the offending field."""
     if not isinstance(obj, dict):
         raise ConfigError("field '<root>': config must be a JSON object")
     _known_keys(obj, ("system", "system_params", "probes", "precision", "out", "seed"), "")
 
-    system = overrides.get("system") or obj.get("system")
+    system = obj.get("system")
     if system is None:
         raise ConfigError("field 'system': required (builtin name or {\"path\": ...})")
     if isinstance(system, dict):
@@ -302,33 +287,24 @@ def parse_config(obj: dict, overrides: dict | None = None) -> ExperimentConfig:
 
     probes_obj = obj.get("probes")
     if probes_obj is None:
-        probes_obj = DEFAULT_PROBES.get(system, []) if isinstance(system, str) else []
+        raise ConfigError("field 'probes': required (a list of probe objects)")
     if not isinstance(probes_obj, list):
         raise ConfigError("field 'probes': expected list")
-    probes = tuple(_resolve_probe(p, i, overrides) for i, p in enumerate(probes_obj))
-    if overrides.get("tol") is not None:
-        # checked even when no probe of the config takes it
-        _parse(frac, overrides["tol"], "--tol")
+    probes = tuple(_resolve_probe(p, i) for i, p in enumerate(probes_obj))
 
     precision_obj = obj.get("precision", {})
     if not isinstance(precision_obj, dict):
         raise ConfigError("field 'precision': expected JSON object")
-    precision_obj = dict(precision_obj)
-    for key in ("denominator_limit", "coarsen"):
-        if overrides.get(key) is not None:
-            precision_obj[key] = overrides[key]
     precision = _resolve_precision(precision_obj, system)
 
-    # the config's own out is checked even when --out replaces it
     out_dir = obj.get("out", "results")
     if not isinstance(out_dir, str):
         raise ConfigError(f"field 'out': expected a directory path string, got {out_dir!r}")
-    out_dir = overrides.get("out") or out_dir or "results"
     return ExperimentConfig(
         system_source=system,
         probes=probes,
         precision=precision,
-        out_dir=out_dir,
+        out_dir=out_dir or "results",
         seed=_parse(_integer(), obj.get("seed", 0), "seed"),
         system_params=system_params,
     )
@@ -423,7 +399,6 @@ _STEP_HEADER = ("n", "gap_radius", "gap_radius_exact", "arc_count", "coarsened")
 
 class _Kind(NamedTuple):
     fields: dict  # field name -> (parser, default), as _fields reads them
-    roles: dict  # flag ("max_iter", "tol", "start") -> the field it sets
     run: Callable  # (spec, target IFS, ResolvedSystem, PrecisionPolicy) -> report
     rows: Callable  # report as _json renders it -> CSV rows under header
     header: tuple = _HEADER
@@ -460,7 +435,6 @@ _KINDS = {
     "attractor": _Kind(
         fields={"start": (frac, 0), "budget": (_integer(1), 64),
                 "tol": (_positive, "1/256")},
-        roles={"max_iter": "budget", "tol": "tol", "start": "start"},
         run=lambda spec, target, system, policy: attractor_probe(
             target, _start(spec), budget=spec["budget"], tol=spec["tol"], policy=policy
         ),
@@ -470,7 +444,6 @@ _KINDS = {
     "covering": _Kind(
         fields={"center": (frac, 0), "length": (_arc_length, "1/64"),
                 "budget": (_integer(1), 64)},
-        roles={"max_iter": "budget", "start": "center"},
         run=lambda spec, target, system, policy: {
             **{key: spec[key] for key in ("center", "length", "budget")},
             "covering_time": covering_time(
@@ -487,7 +460,6 @@ _KINDS = {
         fields={"deltas": (_deltas, ["1/16", "1/64", "1/256", "1/1024"]),
                 "base_points": (_points, 8), "truncation": (_integer(0), 32),
                 "samples_per_delta": (_integer(2), 4)},
-        roles={"max_iter": "truncation", "start": "base_points"},
         run=lambda spec, target, system, policy: {"base_points": [
             equicontinuity_probe(
                 target, point, spec["deltas"],
@@ -507,7 +479,6 @@ _KINDS = {
     # rejects that on systems without one before any probe runs.
     "invariance": _Kind(
         fields={"tol": (frac, 0), "set": (_arcset, None)},
-        roles={"tol": "tol"},
         run=lambda spec, target, system, policy: invariance_check(
             target, spec.get("set", system.invariant_set), spec["tol"]
         ),
@@ -518,7 +489,6 @@ _KINDS = {
     ),
     "iterate": _Kind(
         fields={"start": (frac, 0), "steps": (_integer(0), 16)},
-        roles={"max_iter": "steps", "start": "start"},
         run=_run_iterate,
         rows=_step_rows,
         header=_STEP_HEADER,
@@ -526,7 +496,6 @@ _KINDS = {
     "minimality": _Kind(
         fields={"start": (frac, 0), "depth": (_integer(1), 12),
                 "epsilon": (_positive, "1/64")},
-        roles={"max_iter": "depth", "tol": "epsilon", "start": "start"},
         run=lambda spec, target, system, policy: orbit_density_probe(
             target, CirclePoint(spec["start"]), depth=spec["depth"], epsilon=spec["epsilon"]
         ),
@@ -537,7 +506,6 @@ _KINDS = {
     "sensitivity": _Kind(
         fields={"lengths": (_list(_arc_length), ["1/64"]), "centers": (_points, 16),
                 "truncation": (_integer(1), 64)},
-        roles={"max_iter": "truncation", "start": "centers"},
         run=lambda spec, target, system, policy: sensitivity_probe(
             target, spec["lengths"], spec["centers"],
             truncation=spec["truncation"], policy=policy,
@@ -551,10 +519,8 @@ _KINDS = {
 }
 
 
-def _resolve_probe(p: Any, index: int, overrides: dict) -> dict:
-    """Validate one raw probe object.  The --max-iter / --tol / --start
-    overrides are applied first, so they pass the same validation as config
-    values."""
+def _resolve_probe(p: Any, index: int) -> dict:
+    """Validate one raw probe object."""
     ctx = f"probes[{index}]."
     if not isinstance(p, dict):
         raise ConfigError(f"field 'probes[{index}]': expected JSON object")
@@ -563,16 +529,8 @@ def _resolve_probe(p: Any, index: int, overrides: dict) -> dict:
         raise ConfigError(
             f"field '{ctx}probe': expected one of {', '.join(sorted(_KINDS))}, got {name!r}"
         )
-    kind = _KINDS[name]
-    if overrides.get("start") is not None and "start" not in kind.roles:
-        raise ConfigError(f"field '--start': {name} probes take no start point")
     body = {key: value for key, value in p.items() if key != "probe"}
-    for flag, key in kind.roles.items():
-        value = overrides.get(flag)
-        if value is not None:
-            # a point-list field takes the start as a one-point list
-            body[key] = [value] if kind.fields[key][0] is _points else value
-    table = {"direction": (_direction, "forward"), **kind.fields}
+    table = {"direction": (_direction, "forward"), **_KINDS[name].fields}
     return {"probe": name, **_fields(table, body, ctx)}
 
 
@@ -644,12 +602,17 @@ def run(config: ExperimentConfig) -> Bundle:
 
 
 def _write(path: Path, text: str) -> None:
-    """Write text to path atomically, through a .tmp sibling; a file that
-    cannot be written is a ConfigError naming out."""
+    """Write text to path atomically, through a .tmp sibling, which is
+    removed if it cannot replace path; a file that cannot be written is a
+    ConfigError naming out."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         tmp.write_text(text)
-        os.replace(tmp, path)
+        try:
+            os.replace(tmp, path)
+        except OSError:
+            tmp.unlink()
+            raise
     except OSError as exc:
         raise ConfigError(f"field 'out': cannot write {path}: {exc.strerror}") from None
 
@@ -715,30 +678,22 @@ def _add_source_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--system", help="builtin system name or path to an IFS JSON file")
 
 
-def _add_common_flags(p: argparse.ArgumentParser) -> None:
-    _add_source_flags(p)
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--max-iter", type=int, dest="max_iter", help="iteration budget override")
-    p.add_argument("--tol", help="tolerance p/q override")
-    p.add_argument(
-        "--denominator-limit", type=int, dest="denominator_limit",
-        help="round endpoints to denominators <= D each step",
-    )
-    p.add_argument("--coarsen", help="fill gaps shorter than p/q each step")
-
-
-def _load_config(args, extra_probes=None) -> ExperimentConfig:
+def _load_config(args, probes=None) -> ExperimentConfig:
+    """The --config object with --system and the given probe list written
+    over its own, resolved; --out then replaces the resolved directory, so
+    the config's own out is still checked."""
     raw = _read_json(args.config, "--config") if args.config else {}
-    system = args.system
-    if system and system not in ("theorem1", "theorem2"):
-        system = {"path": system}
-    # describe takes none of the other flags, and only probe takes --start
-    flags = ("out", "denominator_limit", "coarsen", "max_iter", "tol", "start")
-    overrides = {"system": system, **{key: getattr(args, key, None) for key in flags}}
-    if extra_probes is not None:
-        raw = dict(raw)
-        raw["probes"] = extra_probes
-    return parse_config(raw, overrides)
+    if not isinstance(raw, dict):
+        raise ConfigError(f"field '--config': expected a JSON object, got {raw!r}")
+    if args.system:
+        builtin = args.system in ("theorem1", "theorem2")
+        raw["system"] = args.system if builtin else {"path": args.system}
+    if probes is not None:
+        raw["probes"] = probes
+    config = parse_config(raw)
+    # describe takes no --out
+    out = getattr(args, "out", None)
+    return dataclasses.replace(config, out_dir=out) if out else config
 
 
 def main(argv: Sequence[str] | None = None) -> int:
@@ -753,21 +708,20 @@ def main(argv: Sequence[str] | None = None) -> int:
     p_describe.add_argument("--json", action="store_true", help="emit JSON")
 
     p_run = sub.add_parser("run", help="run the configured probes")
-    _add_common_flags(p_run)
-
     p_probe = sub.add_parser("probe", help="run a single probe")
-    _add_common_flags(p_probe)
+    for p in (p_run, p_probe):
+        _add_source_flags(p)
+        p.add_argument("--out", help="output directory")
     p_probe.add_argument("kind", choices=sorted(_KINDS))
     p_probe.add_argument(
         "--direction", choices=("forward", "backward"), default="forward"
     )
-    p_probe.add_argument("--start", help="base/start point p/q")
     p_probe.add_argument("--params", help="extra probe parameters as JSON")
 
     args = parser.parse_args(argv)
     try:
         if args.command == "describe":
-            config = _load_config(args, extra_probes=[])
+            config = _load_config(args, probes=[])
             info = describe(config)
             print(json.dumps(info, indent=2, sort_keys=True) if args.json else _describe_text(info))
             return 0
@@ -785,7 +739,7 @@ def main(argv: Sequence[str] | None = None) -> int:
                 if "probe" in params:
                     raise ConfigError("field '--params': the probe kind is set by KIND")
                 spec.update(params)
-            config = _load_config(args, extra_probes=[spec])
+            config = _load_config(args, probes=[spec])
         bundle = run(config)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -46,7 +46,7 @@ def criterion(number: int, name: str):
 
 def _run_config(name: str, out_dir: Path) -> tuple[dict, bytes]:
     raw = json.loads((CONFIG_DIR / name).read_text())
-    config = parse_config(raw, {"out": str(out_dir)})
+    config = parse_config({**raw, "out": str(out_dir)})
     run(config)
     data = (out_dir / "bundle.json").read_bytes()
     return json.loads(data), data

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -13,7 +14,6 @@ from hutch.cli import (
     ConfigError,
     EXIT_CONFIG,
     EXIT_RESOURCE,
-    _KINDS,
     _json,
     describe,
     main,
@@ -61,23 +61,6 @@ def test_unknown_system_rejected():
         parse_config({"system": "theorem9"})
 
 
-def test_default_probes_resolved():
-    assert _json(parse_config({"system": "theorem1"}).probes) == [
-        {"probe": "sensitivity", "direction": "backward", "lengths": ["1/64"],
-         "centers": [str(F(k, 16)) for k in range(16)], "truncation": 64},
-        {"probe": "equicontinuity", "direction": "forward",
-         "deltas": ["1/16", "1/64", "1/256", "1/1024"],
-         "base_points": [str(F(k, 8)) for k in range(8)],
-         "truncation": 32, "samples_per_delta": 4},
-    ]
-    assert _json(parse_config({"system": "theorem2"}).probes) == [
-        {"probe": "attractor", "direction": "forward", "start": "1/3",
-         "budget": 64, "tol": "1/256"},
-        {"probe": "minimality", "direction": "forward", "start": "1/3",
-         "depth": 12, "epsilon": "1/64"},
-    ]
-
-
 def _committed_config(system):
     return json.loads((ROOT / "results" / system / "bundle.json").read_text())["config"]
 
@@ -87,8 +70,11 @@ def _committed_config(system):
     [
         *(pytest.param(_committed_config(s), id=f"committed-{s}")
           for s in ("theorem1", "theorem2")),
-        *(pytest.param(parse_config({"system": s}).echo(), id=f"default-{s}")
-          for s in ("theorem1", "theorem2")),
+        *(pytest.param(
+            parse_config(json.loads((ROOT / "configs" / f"acceptance_{s}.json").read_text()))
+            .echo(),
+            id=f"acceptance-{s}",
+        ) for s in ("theorem1", "theorem2")),
     ],
 )
 def test_config_echo_round_trip(config):
@@ -116,28 +102,13 @@ def test_unknown_probe_rejected():
             "'precision'",
             id="precision-not-object",
         ),
+        # a run config lists its probes: none are run by default
+        pytest.param({"system": "theorem2"}, [], "'probes'", id="no-probes"),
         pytest.param(
-            {"system": "theorem2", "probes": [{"probe": "attractor"}]},
-            ["--tol", "0.5"],
-            "probes[0].tol",
-            id="decimal-tol-flag",
-        ),
-        pytest.param(
-            {"system": "theorem2", "probes": [{"probe": "minimality"}]},
-            ["--max-iter", "0"],
+            {"system": "theorem2", "probes": [{"probe": "minimality", "depth": 0}]},
+            [],
             "probes[0].depth",
-            id="max-iter-below-floor",
-        ),
-        # --tol is checked even when no probe of the config takes it
-        *(
-            pytest.param(
-                {"system": "theorem2", "probes": [{"probe": "covering", "budget": 2}]},
-                ["--tol", tol],
-                "'--tol'",
-                id=case,
-            )
-            for tol, case in [("1/0", "unused-tol-zero-denominator"),
-                              ("abc", "unused-tol-not-rational")]
+            id="depth-below-floor",
         ),
         pytest.param(
             {"system": "theorem1",
@@ -326,29 +297,16 @@ def test_cli_invariance_without_set_fails_before_any_probe(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "kind, field, value",
-    [
-        ("attractor", "start", "1/3"),
-        ("covering", "center", "1/3"),
-        ("equicontinuity", "base_points", ["1/3"]),
-        ("sensitivity", "centers", ["1/3"]),
-    ],
-)
-def test_cli_probe_start_sets_the_kinds_field(tmp_path, kind, field, value):
-    code = main(["probe", kind, "--system", "theorem2", "--start", "1/3",
-                 "--max-iter", "2", "--out", str(tmp_path)])
-    assert code == 0
-    bundle = json.loads((tmp_path / "bundle.json").read_text())
-    assert bundle["reports"][0]["params"][field] == value
-
-
-def test_cli_probe_start_rejected_where_no_field_takes_it(tmp_path, capsys):
-    code = main(["probe", "invariance", "--system", "theorem2", "--start", "1/3",
-                 "--params", json.dumps({"set": [{"start": "0", "length": "1"}]}),
-                 "--out", str(tmp_path)])
-    assert code == EXIT_CONFIG
-    assert "'--start'" in capsys.readouterr().err
+@pytest.mark.parametrize("content", ["[1]", '"abc"', '[["system", "theorem2"]]'],
+                         ids=["list-of-int", "string", "list-of-pairs"])
+@pytest.mark.parametrize("command", [["describe"], ["run"], ["probe", "covering"]],
+                         ids=["describe", "run", "probe"])
+def test_cli_config_not_object_names_config(tmp_path, capsys, command, content):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(content)
+    extra = [] if command == ["describe"] else ["--out", str(tmp_path / "out")]
+    assert main([*command, "--config", str(cfg), *extra]) == EXIT_CONFIG
+    assert "'--config'" in capsys.readouterr().err
 
 
 def test_cli_exit_code_on_resource_cap(tmp_path, capsys):
@@ -379,11 +337,14 @@ def test_cli_unwritable_output_names_out(tmp_path, capsys, name):
     # a directory where run writes a file: the CSV's temporary file, or the
     # bundle itself once every probe has run
     (tmp_path / name).mkdir()
-    code = main(["probe", "covering", "--system", "theorem2", "--max-iter", "2",
+    code = main(["probe", "covering", "--system", "theorem2", "--params", '{"budget": 2}',
                  "--out", str(tmp_path)])
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "'out'" in err and name.removesuffix(".tmp") in err
+    # run removes the temporary file it wrote, and only that
+    left = [p.name for p in tmp_path.iterdir() if p.name.endswith(".tmp")]
+    assert left == ([name] if name.endswith(".tmp") else [])
 
 
 # -- run -------------------------------------------------------------------------
@@ -570,9 +531,9 @@ def test_cli_describe_bytes(capsys, system, flags, digest):
 
 
 def test_cli_iterate(tmp_path, capsys):
-    # a trajectory is the iterate probe; --max-iter sets its step count
-    code = main(["probe", "iterate", "--system", "theorem2", "--start", "1/3",
-                 "--max-iter", "5", "--out", str(tmp_path)])
+    # a trajectory is the iterate probe
+    code = main(["probe", "iterate", "--system", "theorem2",
+                 "--params", '{"start": "1/3", "steps": 5}', "--out", str(tmp_path)])
     assert code == 0
     report = json.loads(capsys.readouterr().out)
     assert [step["n"] for step in report["steps"]] == list(range(6))
@@ -587,6 +548,11 @@ def test_cli_iterate(tmp_path, capsys):
         ["iterate", "--system", "theorem2"],
         # nothing is random: there is no seed flag (a config may still carry one)
         ["run", "--system", "theorem2", "--seed", "1", "--tol", "abc"],
+        # probe fields and precision are set in a config or --params only
+        ["run", "--system", "theorem2", "--max-iter", "2"],
+        ["run", "--system", "theorem2", "--denominator-limit", "64"],
+        ["run", "--system", "theorem2", "--coarsen", "1/64"],
+        ["probe", "iterate", "--system", "theorem2", "--start", "1/3"],
     ],
 )
 def test_cli_rejects_unknown_arguments(argv, capsys):
@@ -614,53 +580,17 @@ def test_cli_probe_shortcut(tmp_path, capsys):
     assert report["covering_time"] is not None
 
 
-def test_readme_flag_table_matches_kinds():
-    # the README's table of the field each of --max-iter, --tol and --start
-    # sets, row by row against _KINDS
-    lines = (ROOT / "README.md").read_text().splitlines()
-    head = lines.index("| probe kind | `--max-iter` | `--tol` | `--start X` |")
-    table = {}
-    for line in lines[head + 2:]:
-        if not line.startswith("|"):
-            break
-        kind, *cells = (cell.strip() for cell in line.strip("|").split("|"))
-        fields = [cell.split("`")[1] if cell.startswith("`") else None for cell in cells]
-        table[kind.strip("`")] = {
-            flag: field for flag, field in zip(("max_iter", "tol", "start"), fields) if field
-        }
-    assert table == {kind: spec.roles for kind, spec in _KINDS.items()}
-
-
-def test_cli_flag_overrides(tmp_path):
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(
-        json.dumps(
-            {
-                "system": "theorem2",
-                "probes": [
-                    {"probe": "attractor", "start": "1/3", "budget": 64, "tol": "1/4"}
-                ],
-            }
-        )
-    )
-    code = main(
-        [
-            "run",
-            "--config",
-            str(cfg),
-            "--out",
-            str(tmp_path / "out"),
-            "--max-iter",
-            "8",
-            "--tol",
-            "1/8",
-        ]
-    )
-    assert code == 0
-    bundle = json.loads((tmp_path / "out" / "bundle.json").read_text())
-    params = bundle["reports"][0]["params"]
-    assert params["budget"] == 8
-    assert params["tol"] == "1/8"
+@pytest.mark.parametrize("command", ["describe", "run", "probe"])
+def test_readme_names_every_flag(command, capsys):
+    # the README's sentence "`COMMAND ...` takes ..." names exactly the
+    # flags of the subcommand's --help
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    flags = set(re.findall(r"--[a-z][a-z-]*", capsys.readouterr().out)) - {"--help"}
+    readme = (ROOT / "README.md").read_text()
+    sentence = re.search(rf"`{command}[^`]*` takes ([^.]*)\.", readme)
+    assert sentence, command
+    assert set(re.findall(r"`(--[a-z][a-z-]*)", sentence.group(1))) == flags
 
 
 def test_theorem2_config_reproduces_committed_results(tmp_path, monkeypatch):
