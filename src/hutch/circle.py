@@ -238,18 +238,11 @@ def _exact_key(dmax: int) -> Callable[[tuple[int, ...]], int]:
 
 
 def _merged_runs(
-    raw: Iterable[tuple[Fraction, Fraction]],
-    en: int,
-    ed: int,
-    limit: int | None = None,
+    raw: Iterable[tuple[Fraction, Fraction]], en: int, ed: int
 ) -> tuple[list[tuple[int, int, int, int]], bool]:
     """Segments (lo, hi) shifted into [0, 1), split at 1, sorted, and merged
     where they meet or lie less than en / ed apart: the runs (start n, d, end
-    n, d) and whether a gap was closed; a length >= 1 gives the run [0, 1].
-
-    With a denominator limit D a closed gap of at most 1/D counts only if
-    its two ends stay apart once rounded (_limit_denominator), as a gap
-    filled after rounding would: see RoundedRuns."""
+    n, d) and whether a gap was closed; a length >= 1 gives the run [0, 1]."""
     # Unroll to closed segments [lo, hi] inside [0, 1], splitting wraparounds,
     # as reduced int pairs; values compare by cross-multiplication.
     segments: list[tuple[int, int, int, int]] = []
@@ -283,38 +276,30 @@ def _merged_runs(
                 merged.append((sn, sd, tn, td))
                 sn, sd, tn, td = ln, ld, hn, hd
                 continue
-            if not filled:
-                if limit is None or gap * limit > ld * td:
-                    filled = True
-                else:
-                    # a gap of at most 1/D: do its ends round apart?
-                    an, ad = _limit_denominator(tn, td, limit)
-                    bn, bd = _limit_denominator(ln, ld, limit)
-                    filled = an * bd < bn * ad
+            filled = True
         if hn * td > tn * hd:
             tn, td = hn, hd
     merged.append((sn, sd, tn, td))
     return merged, filled
 
 
-class RoundedRuns:
-    """The runs of the union of lift-line segments inside [0, 1], joined
-    across the gaps that rounding cannot reopen, with their ends rounded
-    (_limit_denominator), made once iteration starts; filled then says
-    whether a gap so joined is filled.  Normalized with fill_eta, with that
-    flag or-ed in, they give the set and flag that rounding each end of
-    each segment and then normalizing gives.  With no limit (None) the
-    segments pass through as they are, and filled stays False.
+def _grid_point(n: int, d: int, grid: int) -> int:
+    """k such that k / grid is the point of (1/grid)Z nearest to n / d, the
+    upper one on a tie: floor(n / d * grid + 1/2)."""
+    return (2 * n * grid + d) // (2 * d)
 
-    The rule is monotone and commutes with integer shifts, so the exact
-    runs round to the runs of the rounded segments, in order, and 0 and 1
-    round to themselves.  It moves a point by at most 1/(2D), D the limit,
-    so a gap g between exact runs rounds to within 1/D of g: if
-    g + 1/D < fill_eta, the rounded runs touch or the fill closes the gap,
-    either way one run, so the gap is merged before rounding.  It is filled
-    for certain if g > 1/D; a gap of at most 1/D is filled iff its ends
-    round apart.  The other gaps are left to the normaliser, on rounded ends.
-    """
+
+class RoundedRuns:
+    """Lift-line segments with both ends rounded to the grid (1/D)Z, D the
+    limit (_grid_point), as the runs of their union inside [0, 1]: merged in
+    grid units where they meet or lie less than fill_eta apart, once
+    iteration starts; filled then says whether a gap was so closed.
+    Normalized with fill_eta, with that flag or-ed in, they give the set and
+    flag that rounding both ends of every segment and then normalizing
+    gives.  With no limit (None) the segments pass through as they are, and
+    filled stays False.  The rule is monotone and commutes with integer
+    shifts, so a rounded segment still runs forward and shifts into [0, 1)
+    by whole turns."""
 
     def __init__(
         self,
@@ -332,15 +317,41 @@ class RoundedRuns:
         if d is None:
             return iter(self.raw)
         en, ed = (0, 1) if eta is None else (eta.numerator, eta.denominator)
-        # merge the gaps shorter than fill_eta - 1/D
-        merged, self.filled = _merged_runs(self.raw, en * d - ed, ed * d, d)
-        return (
-            (
-                Fraction(*_limit_denominator(sn, sd, d)),
-                Fraction(*_limit_denominator(tn, td, d)),
-            )
-            for sn, sd, tn, td in merged
-        )
+        # rounded segments [a, b] inside [0, D] in grid units, split at D
+        segments: list[tuple[int, int]] = []
+        for lo, hi in self.raw:
+            a = _grid_point(lo.numerator, lo.denominator, d)
+            b = _grid_point(hi.numerator, hi.denominator, d)
+            if b - a >= d:
+                return iter([(Fraction(0), FULL_LENGTH)])
+            if not 0 <= a < d:
+                shift = a // d * d
+                a, b = a - shift, b - shift
+            if b <= d:
+                segments.append((a, b))
+            else:
+                segments.append((a, d))
+                segments.append((0, b - d))
+        if not segments:
+            raise ValueError("empty set not in hyperspace")
+        segments.sort()
+
+        filled = False
+        runs: list[tuple[int, int]] = []
+        s, t = segments[0]  # the run being merged, [s, t]
+        for a, b in segments:
+            gap = a - t
+            if gap > 0:
+                if gap * ed >= en * d:
+                    runs.append((s, t))
+                    s, t = a, b
+                    continue
+                filled = True
+            if b > t:
+                t = b
+        runs.append((s, t))
+        self.filled = filled
+        return ((Fraction(s, d), Fraction(t, d)) for s, t in runs)
 
 
 def normalize(raw: Sequence[Arc]) -> ArcSet:
@@ -489,30 +500,6 @@ def gap_radius(a: ArcSet) -> Fraction:
         return Fraction(0)
     num, den = _sup_distance(None, _endpoint_table(a))
     return Fraction(num, den)
-
-
-def _limit_denominator(n: int, d: int, max_denominator: int) -> tuple[int, int]:
-    """Fraction(n, d).limit_denominator(max_denominator) for reduced n/d, as
-    a reduced (numerator, denominator) pair: n/d itself if d is within the
-    limit, else the closer of the best lower and upper approximations from
-    the continued fraction of n/d, the convergent p1/q1 on a tie."""
-    if d <= max_denominator:
-        return n, d
-    p0, q0, p1, q1 = 0, 1, 1, 0
-    num, den = n, d
-    while True:
-        a = num // den
-        q2 = q0 + a * q1
-        if q2 > max_denominator:
-            break
-        p0, q0, p1, q1 = p1, q1, p0 + a * p1, q2
-        num, den = den, num - a * den
-    k = (max_denominator - q0) // q1
-    p2, q2 = p0 + k * p1, q0 + k * q1
-    # |p1/q1 - n/d| <= |p2/q2 - n/d|, both sides times d q1 q2
-    if abs(p1 * d - n * q1) * q2 <= abs(p2 * d - n * q2) * q1:
-        return p1, q1
-    return p2, q2
 
 
 def round_arcset(

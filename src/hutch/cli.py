@@ -73,12 +73,18 @@ EXIT_RESOURCE = 3
 # renders values back, configs and reports alike.
 
 
-def _integer(floor: int | None = None):
+# The largest point count or samples_per_delta: both are built before any probe runs.
+COUNT_MAX = 2**16
+
+
+def _integer(floor: int | None = None, ceiling: int | None = None):
     def parse(value) -> int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ValueError(f"expected integer, got {value!r}")
         if floor is not None and value < floor:
             raise ValueError(f"must be >= {floor}, got {value}")
+        if ceiling is not None and value > ceiling:
+            raise ValueError(f"must be <= {ceiling}, got {value}")
         return value
 
     return parse
@@ -118,7 +124,7 @@ def _points(value) -> list[CirclePoint]:
     """Either an integer (that many stratified points k/n) or a list of
     exact rationals, each reduced into [0, 1)."""
     if isinstance(value, int) and not isinstance(value, bool):
-        value = [Fraction(k, value) for k in range(value)]
+        value = [Fraction(k, value) for k in range(_integer(1, COUNT_MAX)(value))]
     if not isinstance(value, list):
         raise ValueError("expected count or list of rationals")
     if not value:
@@ -459,7 +465,7 @@ _KINDS = {
     "equicontinuity": _Kind(
         fields={"deltas": (_deltas, ["1/16", "1/64", "1/256", "1/1024"]),
                 "base_points": (_points, 8), "truncation": (_integer(0), 32),
-                "samples_per_delta": (_integer(2), 4)},
+                "samples_per_delta": (_integer(2, COUNT_MAX), 4)},
         run=lambda spec, target, system, policy: {"base_points": [
             equicontinuity_probe(
                 target, point, spec["deltas"],

@@ -57,10 +57,11 @@ def inverse_system(system: IFS) -> IFS:
 class PrecisionPolicy:
     """Optional per-step precision and size controls for iteration.
 
-    Exact arithmetic is the default (all fields off).  denominator_limit
-    rounds endpoints to denominators <= D after each step; coarsen fills
-    gaps shorter than it; arc_cap makes orbit abort (ResourceCapError) at a
-    set of more arcs than the cap while coarsening is off.  Values of the
+    Exact arithmetic is the default (all fields off).  denominator_limit D
+    rounds every endpoint to the nearest multiple of 1/D (the upper one on a
+    tie) in each step; coarsen fills gaps shorter than it; arc_cap makes
+    orbit abort (ResourceCapError) at a set of more arcs than the cap while
+    coarsening is off.  Values of the
     wrong type (D and cap not int, eta not Fraction) or out of range (D < 1,
     eta <= 0, cap < 1) raise ValueError naming the field.
     """
@@ -83,8 +84,9 @@ EXACT = PrecisionPolicy()
 
 # Shipped default for probe runs on the finite-stage Denjoy systems, whose
 # singleton orbits grow too fast for exact arithmetic at depth 32+.  The
-# endpoint grid keeps rounding noise (<= 2^-16 per step) and the coarsening
-# slack (2^-11) far below every probe tolerance in use.
+# dyadic endpoint grid 2^-16 keeps rounding noise (<= 2^-17 per endpoint
+# and step) and the coarsening slack (2^-11) far below every probe
+# tolerance in use.
 PROBE_POLICY = PrecisionPolicy(
     denominator_limit=2**16, coarsen=Fraction(1, 2**11)
 )

@@ -5,6 +5,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import random
 from fractions import Fraction
+from math import floor
 
 import pytest
 from hypothesis import settings
@@ -40,3 +41,9 @@ def random_arcset(rng: random.Random, max_arcs: int = 3, denom: int = 64) -> Arc
 
 def random_point(rng: random.Random, denom: int = 2**12) -> CirclePoint:
     return CirclePoint(Fraction(rng.randrange(denom), denom))
+
+
+def grid_rounded(x: Fraction, grid: int) -> Fraction:
+    """The rounding rule of a denominator limit, in plain Fraction
+    arithmetic: the nearest multiple of 1/grid, the upper one on a tie."""
+    return Fraction(floor(x * grid + Fraction(1, 2)), grid)

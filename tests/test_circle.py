@@ -1,7 +1,6 @@
 import random
 from bisect import bisect_left
 from fractions import Fraction
-from math import gcd
 
 import pytest
 from hypothesis import example, given, settings
@@ -12,7 +11,7 @@ from hutch.circle import (
     ArcSet,
     CirclePoint,
     RoundedRuns,
-    _limit_denominator,
+    _grid_point,
     _normalize_segments_flagged,
     arc,
     circle_dist,
@@ -27,7 +26,7 @@ from hutch.circle import (
     union,
 )
 from hutch.cli import _arcset, _json
-from conftest import random_arcset
+from conftest import grid_rounded, random_arcset
 
 F = Fraction
 
@@ -432,8 +431,8 @@ def coarsen(a: ArcSet, eta: Fraction) -> tuple[ArcSet, bool]:
     return round_arcset(a, None, eta)
 
 
-def limit_denominators(a: ArcSet, max_denominator: int) -> ArcSet:
-    return round_arcset(a, max_denominator, None)[0]
+def round_to_grid(a: ArcSet, grid: int) -> ArcSet:
+    return round_arcset(a, grid, None)[0]
 
 
 def test_coarsen_fills_small_gaps():
@@ -457,20 +456,20 @@ def test_coarsen_flags_single_arc_filled_to_full_circle():
     assert out.is_full and coarsened
 
 
-def test_limit_denominators_rounds_endpoints():
+def test_round_to_grid_rounds_endpoints():
     a = normalize([arc(F(1, 3), F(1, 7))])
-    out = limit_denominators(a, 16)
+    out = round_to_grid(a, 16)
     for piece in out.arcs:
-        assert piece.start.value.denominator <= 16
-        assert (piece.start.value + piece.length).denominator <= 16
-    assert hausdorff(a, out) <= F(1, 16)
+        assert 16 % piece.start.value.denominator == 0
+        assert 16 % (piece.start.value + piece.length).denominator == 0
+    assert hausdorff(a, out) <= F(1, 32)
 
 
-def test_limit_denominators_preserves_degenerate_lengths():
+def test_round_to_grid_preserves_degenerate_lengths():
     pts = point_set([CirclePoint(F(1, 3))])
-    out = limit_denominators(pts, 4)
+    out = round_to_grid(pts, 4)
     assert out.arcs[0].length == 0
-    assert limit_denominators(full_circle(), 4).is_full
+    assert round_to_grid(full_circle(), 4).is_full
 
 
 LIMITS = [1, 2, 3, 16, 2**16]
@@ -478,21 +477,14 @@ LIMITS = [1, 2, 3, 16, 2**16]
 
 @st.composite
 def rounding_points(draw, limit):
-    """Rationals to round at the given limit: exact midpoints of Farey
-    neighbours (the tie rule) and points 2^-100 off them, denominators above
-    2^80, and small ones, shifted by -5..5."""
+    """Rationals to round to the grid (1/limit)Z: grid midpoints (the tie
+    rule) and points 2^-100 off them, denominators above 2^80, and small
+    ones, shifted by -5..5."""
     kind = draw(st.integers(0, 2))
     if kind == 0:
-        # a/b and its right neighbour c/d among denominators <= limit
-        b = draw(st.integers(1, limit))
-        a = draw(st.integers(0, b - 1))
-        g = gcd(a, b)
-        a, b = a // g, b // g
-        d = (-pow(a, -1, b)) % b if b > 1 else 0
-        d += b * ((limit - d) // b)
-        c = (1 + a * d) // b
+        k = draw(st.integers(0, limit - 1))
         off = draw(st.sampled_from([0, 0, F(1, 2**100), -F(1, 2**100)]))
-        x = (F(a, b) + F(c, d)) / 2 + off
+        x = F(2 * k + 1, 2 * limit) + off
     elif kind == 1:
         d = draw(st.integers(2**80, 2**90))
         x = F(draw(st.integers(0, d - 1)), d)
@@ -501,28 +493,28 @@ def rounding_points(draw, limit):
     return x + draw(st.integers(-5, 5))
 
 
-def rounded(x: Fraction, limit: int) -> Fraction:
-    return F(*_limit_denominator(x.numerator, x.denominator, limit))
+def on_grid(x: Fraction, limit: int) -> int:
+    return _grid_point(x.numerator, x.denominator, limit)
 
 
 @settings(max_examples=300)
 @given(st.data(), st.one_of(st.sampled_from(LIMITS), st.integers(1, 2**16)))
-def test_limit_denominator_moves_a_point_by_at_most_half_a_step(data, limit):
-    # what RoundedRuns rests on: the rounded point is the stdlib's, a nearest
-    # rational of denominator <= D (those lie at most 1/D apart), and the
-    # rule is monotone and commutes with integer shifts
+def test_grid_point_moves_a_point_by_at_most_half_a_step(data, limit):
+    # what RoundedRuns rests on: the nearest multiple of 1/D, ties up, which
+    # is monotone and commutes with integer shifts
     x = data.draw(rounding_points(limit))
-    n, d = _limit_denominator(x.numerator, x.denominator, limit)
-    assert d <= limit and gcd(n, d) == 1
-    assert F(n, d) == x.limit_denominator(limit)
-    assert abs(F(n, d) - x) <= F(1, 2 * limit)
-    steps = [0, F(1, 2**100), F(1, 2 * limit * limit), F(1, limit)]
+    k = on_grid(x, limit)
+    assert F(k, limit) == grid_rounded(x, limit)
+    assert abs(F(k, limit) - x) <= F(1, 2 * limit)
+    assert limit % F(k, limit).denominator == 0
+    steps = [0, F(1, 2**100), F(1, 2 * limit), F(1, limit)]
     step = data.draw(st.sampled_from(steps))
     y = data.draw(st.one_of(rounding_points(limit), st.just(x + step)))
     lo, hi = min(x, y), max(x, y)
-    assert rounded(lo, limit) <= rounded(hi, limit)
-    for k in (-3, 1, 7):
-        assert rounded(x + k, limit) == F(n, d) + k
+    assert on_grid(lo, limit) <= on_grid(hi, limit)
+    for j in (-3, 1, 7):
+        assert on_grid(x + j, limit) == k + j * limit
+    assert on_grid(F(2 * k + 1, 2 * limit), limit) == k + 1  # a tie rounds up
 
 
 ETAS = [None, F(1, 2048), F(1, 3), F(1, 2), F(1)]
@@ -532,11 +524,11 @@ OFF = F(1, 2**100)
 @st.composite
 def margin_segments(draw, limit, eta):
     """Segments with ends at rounding points, each starting after the last
-    by a gap at a margin RoundedRuns decides on: 1/D, eta - 1/D or
+    by a gap at a margin of the rounded merge: 1/D, eta - 1/D, eta or
     eta + 1/D, exactly or 2^-100 either side."""
     widths = [F(1, limit)]
     if eta is not None:
-        widths += [eta - F(1, limit), eta + F(1, limit)]
+        widths += [eta - F(1, limit), eta, eta + F(1, limit)]
     gaps = [w + off for w in widths for off in (0, OFF, -OFF) if w + off > 0]
     lo = draw(rounding_points(limit))
     segments = []
@@ -562,14 +554,17 @@ def rounding_cases(draw):
 
 @settings(max_examples=300)
 @given(rounding_cases())
-# a gap of 1/D that rounds to eta: not filled, so not merged before rounding
-@example(([(F(1, 6) - OFF,) * 2, (F(1, 2) - OFF,) * 2], 3, F(1, 2)))
-# a gap of 1 - 1/D whose ends round to 0 and 1: not merged at eta = 1
-@example(([(F(1, 4),) * 2, (F(3, 4),) * 2], 2, F(1)))
-# merged gaps of at most 1/D whose ends round apart, or together
-@example(([(F(0), F(1, 5)), (F(1, 5) + F(1, 32), F(1, 3))], 16, F(1, 3)))
+# less than 1/D apart, rounding to touch: merged, not filled
 @example(([(F(0), F(1, 5)), (F(1, 5) + F(1, 2**20), F(1, 3))], 16, F(1, 3)))
-# ties, which round to the convergent: 1/2 to 0, -1/4 to 0, -3/4 to -1
+# less than 1/D apart, rounding a step apart: filled
+@example(([(F(0), F(1, 5)), (F(1, 5) + F(1, 32), F(1, 3))], 16, F(1, 3)))
+# a gap that rounds to exactly eta D grid units: not filled
+@example(([(F(0), F(1, 16)), (F(3, 16) + F(1, 64), F(1, 4))], 16, F(1, 8)))
+# points 1/4 and 3/4 rounding to 1/2 and 1: gaps of 1/2, filled at eta = 1
+@example(([(F(1, 4),) * 2, (F(3, 4),) * 2], 2, F(1)))
+# a segment whose rounded length reaches 1: the full circle
+@example(([(F(1, 64), F(63, 64)), (F(1, 2), F(1, 2))], 16, None))
+# ties, which round up: 1/2 to 1, -1/4 to 0, -3/4 to -1/2
 @example(([(F(1, 2),) * 2], 1, None))
 @example(([(F(-1, 4),) * 2, (F(-3, 4),) * 2], 2, None))
 def test_rounding_runs_matches_rounding_segments(case):
@@ -580,12 +575,12 @@ def test_rounding_runs_matches_rounding_segments(case):
         assert pulled == segments and not runs.filled
         reference = segments
     else:
-        # rounded runs inside [0, 1], in order
+        # rounded runs inside [0, 1], in order, on the grid
         assert all(0 <= lo <= hi <= 1 for lo, hi in pulled)
-        assert all(v.denominator <= limit for run in pulled for v in run)
+        assert all(limit % v.denominator == 0 for run in pulled for v in run)
         assert all(a[1] <= b[0] for a, b in zip(pulled, pulled[1:]))
         reference = [
-            (lo.limit_denominator(limit), hi.limit_denominator(limit))
+            (grid_rounded(lo, limit), grid_rounded(hi, limit))
             for lo, hi in segments
         ]
     out, coarsened = _normalize_segments_flagged(pulled, eta)

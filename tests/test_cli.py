@@ -2,6 +2,7 @@ import hashlib
 import json
 import random
 import re
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -11,6 +12,7 @@ from hutch.circle import frac
 from hutch.homeo import PLHomeo
 from hutch.ifs import IFS
 from hutch.cli import (
+    COUNT_MAX,
     ConfigError,
     EXIT_CONFIG,
     EXIT_RESOURCE,
@@ -249,6 +251,25 @@ def test_cli_exit_code_on_malformed_config(
     assert field in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kind, key",
+    [("sensitivity", "centers"), ("equicontinuity", "base_points"),
+     ("equicontinuity", "samples_per_delta")],
+)
+def test_cli_rejects_counts_above_the_ceiling_before_building_them(
+    tmp_path, capsys, kind, key
+):
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps({"system": "theorem1", "probes": [{"probe": kind, key: 10**12}]}))
+    started = time.perf_counter()
+    code = main(["run", "--config", str(cfg), "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - started < 1
+    assert code == EXIT_CONFIG
+    assert f"probes[0].{key}" in capsys.readouterr().err
+    # the ceiling itself is accepted
+    parse_config({"system": "theorem1", "probes": [{"probe": kind, key: COUNT_MAX}]})
+
+
 def test_cli_probe_params_must_be_object(tmp_path, capsys):
     code = main(
         ["probe", "covering", "--system", "theorem2", "--params", "[1]",
@@ -378,11 +399,11 @@ GOLDEN = {
             {"probe": "minimality", "start": "1/3", "depth": 4, "epsilon": "1/8"},
         ],
         {
-            "bundle.json": "5932914117593a592b944322ddf16dd53c24e1b7fc4f2e7fa500290ed46aa5e9",
+            "bundle.json": "b248c5c02d69e8775bb444b5a810acaf5a4315491dfcf35c75191b684c6e36c6",
             "probe_00_sensitivity.csv":
-                "d1d4ad882823ec3d03e912b4505ad98dc75e54544d289ca10ea7165819c663f6",
+                "ee4c6b12aa8fe84451279834608228472c4a9da7d70d2ca42ce6e56a3aec6705",
             "probe_01_equicontinuity.csv":
-                "1b519f2839ab38619f1f39ea674768e9eaf78f88443e8b7166a16d98dbe93880",
+                "09aab44e0c44c9da96cce153e7624dd9779830983cfac6a4dc0207f4a5d1099b",
             "probe_02_invariance.csv":
                 "d7476a182ce4a16a2031c5dacecf5bcc09ac457065f5fde2e46ea882247aea8a",
             "probe_03_minimality.csv":
@@ -611,3 +632,23 @@ def test_theorem1_config_is_the_committed_one():
     config = json.loads((ROOT / "configs" / "theorem1.json").read_text())
     assert config["out"] == "results/theorem1"
     assert parse_config(config).echo() == _committed_config("theorem1")
+
+
+@pytest.mark.parametrize(
+    "kind, key, point, entries",
+    [("sensitivity", "centers", "3/16", "entries"),
+     ("equicontinuity", "base_points", "3/8", "base_points")],
+)
+def test_theorem1_results_hold_the_entries_of_one_point(tmp_path, kind, key, point, entries):
+    # entries are per point, so a run of the committed config's probe at one
+    # of its points reproduces them verbatim: a stale results/theorem1 fails
+    # here without the full run
+    config = json.loads((ROOT / "configs" / "theorem1.json").read_text())
+    index, probe = next((i, p) for i, p in enumerate(config["probes"]) if p["probe"] == kind)
+    run(parse_config({**config, "probes": [{**probe, key: [point]}], "out": str(tmp_path)}))
+    fresh = json.loads((tmp_path / "bundle.json").read_text())["reports"][0]["report"]
+    committed = json.loads((ROOT / "results" / "theorem1" / "bundle.json").read_text())
+    produced = fresh[entries]
+    assert produced and all(
+        entry in committed["reports"][index]["report"][entries] for entry in produced
+    )

@@ -39,7 +39,7 @@ from hutch.ifs import (
     orbit_density_probe,
 )
 from hutch.probes import covering_time
-from conftest import ALPHA, random_arcset, random_point
+from conftest import ALPHA, grid_rounded, random_arcset, random_point
 
 F = Fraction
 
@@ -172,7 +172,7 @@ def test_probe_policy_orbits_match_rounding_every_segment(theorem1, theorem2):
             current, _ = next(orbit(system, start, PROBE_POLICY))
             for _ in range(10):
                 rounded = [
-                    (lo.limit_denominator(limit), hi.limit_denominator(limit))
+                    (grid_rounded(lo, limit), grid_rounded(hi, limit))
                     for lo, hi in _images(system.generators, current)
                 ]
                 expected = _normalize_segments_flagged(rounded, eta)
