@@ -11,7 +11,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
-from typing import Callable, Iterable, Iterator, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -101,7 +101,6 @@ def arc(start: RationalLike, length: RationalLike) -> Arc:
     return Arc(CirclePoint(frac(start)), frac(length))
 
 
-FULL_LENGTH = Fraction(1)
 _start_value = attrgetter("start.value")
 
 
@@ -156,7 +155,7 @@ class ArcSet:
 
 
 def full_circle() -> ArcSet:
-    return ArcSet((Arc(CirclePoint(Fraction(0)), FULL_LENGTH),))
+    return ArcSet((Arc(CirclePoint(Fraction(0)), Fraction(1)),))
 
 
 def point_set(points: Iterable[CirclePoint]) -> ArcSet:
@@ -186,25 +185,22 @@ def _trusted_arc(start: Fraction, length: Fraction) -> Arc:
     return out
 
 
-def normalize_segments(
-    raw: Iterable[tuple[Fraction, Fraction]],
-    fill_eta: Fraction | None = None,
-) -> ArcSet:
+def normalize_segments(raw: Iterable[tuple[Fraction, Fraction]]) -> ArcSet:
     """Canonicalize lift-line segments (start, end), 0 <= end - start <= 1,
     start any rational, into an ArcSet.
 
-    Merges overlapping and touching arcs, optionally also fills gaps shorter
-    than fill_eta, and collapses total coverage to the full circle.
+    Merges overlapping and touching arcs and collapses total coverage to the
+    full circle.
     """
-    return _normalize_segments_flagged(raw, fill_eta)[0]
+    return _normalize_segments_flagged(raw)[0]
 
 
 def _normalize_segments_flagged(
     raw: Iterable[tuple[Fraction, Fraction]],
     fill_eta: Fraction | None = None,
 ) -> tuple[ArcSet, bool]:
-    """normalize_segments plus a flag: True iff gap-filling (coarsening)
-    actually changed the result."""
+    """normalize_segments, also filling gaps shorter than fill_eta, plus a
+    flag: True iff gap-filling changed the result."""
     # Gaps shorter than en / ed are filled; None fills none, as 0 does.
     en, ed = (0, 1) if fill_eta is None else (fill_eta.numerator, fill_eta.denominator)
     merged, filled = _merged_runs(raw, en, ed)
@@ -289,69 +285,51 @@ def _grid_point(n: int, d: int, grid: int) -> int:
     return (2 * n * grid + d) // (2 * d)
 
 
-class RoundedRuns:
-    """Lift-line segments with both ends rounded to the grid (1/D)Z, D the
-    limit (_grid_point), as the runs of their union inside [0, 1]: merged in
-    grid units where they meet or lie less than fill_eta apart, once
-    iteration starts; filled then says whether a gap was so closed.
-    Normalized with fill_eta, with that flag or-ed in, they give the set and
-    flag that rounding both ends of every segment and then normalizing
-    gives.  With no limit (None) the segments pass through as they are, and
-    filled stays False.  The rule is monotone and commutes with integer
-    shifts, so a rounded segment still runs forward and shifts into [0, 1)
-    by whole turns."""
+def _grid_arcset(
+    segments: Iterable[tuple[int, int]], grid: int, fill_eta: Fraction | None
+) -> tuple[ArcSet, bool]:
+    """_normalize_segments_flagged of the segments [a / grid, b / grid] on
+    ints; each [a, b] in [0, grid] is held as a w + b, smaller than a pair."""
+    en, ed = (0, 1) if fill_eta is None else (fill_eta.numerator, fill_eta.denominator)
+    w = grid + 1
+    split = []
+    for a, b in segments:
+        if b - a >= grid:
+            return full_circle(), False
+        if not 0 <= a < grid:
+            shift = a // grid * grid
+            a, b = a - shift, b - shift
+        if b <= grid:
+            split.append(a * w + b)
+        else:
+            split += (a * w + grid, b - grid)
+    split.sort()
 
-    def __init__(
-        self,
-        raw: Iterable[tuple[Fraction, Fraction]],
-        max_denominator: int | None,
-        fill_eta: Fraction | None,
-    ) -> None:
-        self.raw = raw
-        self.max_denominator = max_denominator
-        self.fill_eta = fill_eta
-        self.filled = False
-
-    def __iter__(self) -> Iterator[tuple[Fraction, Fraction]]:
-        d, eta = self.max_denominator, self.fill_eta
-        if d is None:
-            return iter(self.raw)
-        en, ed = (0, 1) if eta is None else (eta.numerator, eta.denominator)
-        # rounded segments [a, b] inside [0, D] in grid units, split at D
-        segments: list[tuple[int, int]] = []
-        for lo, hi in self.raw:
-            a = _grid_point(lo.numerator, lo.denominator, d)
-            b = _grid_point(hi.numerator, hi.denominator, d)
-            if b - a >= d:
-                return iter([(Fraction(0), FULL_LENGTH)])
-            if not 0 <= a < d:
-                shift = a // d * d
-                a, b = a - shift, b - shift
-            if b <= d:
-                segments.append((a, b))
-            else:
-                segments.append((a, d))
-                segments.append((0, b - d))
-        if not segments:
-            raise ValueError("empty set not in hyperspace")
-        segments.sort()
-
-        filled = False
-        runs: list[tuple[int, int]] = []
-        s, t = segments[0]  # the run being merged, [s, t]
-        for a, b in segments:
-            gap = a - t
-            if gap > 0:
-                if gap * ed >= en * d:
-                    runs.append((s, t))
-                    s, t = a, b
-                    continue
-                filled = True
-            if b > t:
-                t = b
-        runs.append((s, t))
-        self.filled = filled
-        return ((Fraction(s, d), Fraction(t, d)) for s, t in runs)
+    filled = False
+    runs = []
+    s, t = divmod(split[0], w)  # the run being merged, [s, t]
+    for v in split:
+        a, b = divmod(v, w)
+        gap = a - t
+        if gap > 0:
+            if gap * ed >= en * grid:
+                runs.append((s, t))
+                s, t = a, b
+                continue
+            filled = True
+        if b > t:
+            t = b
+    del split
+    # the join across 0
+    wrap = (runs[0][0] if runs else s) + grid - t
+    if wrap <= 0 or wrap * ed < en * grid:
+        filled = filled or wrap > 0
+        if not runs:
+            return full_circle(), filled
+        t = runs.pop(0)[1] + grid
+    runs.append((s, t))
+    arcs = tuple(_trusted_arc(Fraction(s, grid), Fraction(t - s, grid)) for s, t in runs)
+    return _trusted_arcset(arcs), filled
 
 
 def normalize(raw: Sequence[Arc]) -> ArcSet:
@@ -360,8 +338,6 @@ def normalize(raw: Sequence[Arc]) -> ArcSet:
     Merges overlapping and touching arcs, collapses total coverage to the
     single full-circle arc, and sorts by start point.
     """
-    if not raw:
-        raise ValueError("empty set not in hyperspace")
     return normalize_segments(
         (a.start.value, a.start.value + a.length) for a in raw
     )
@@ -503,16 +479,14 @@ def gap_radius(a: ArcSet) -> Fraction:
 
 
 def round_arcset(
-    a: ArcSet, max_denominator: int | None, fill_eta: Fraction | None
+    a: ArcSet, limit: int | None, fill_eta: Fraction | None
 ) -> tuple[ArcSet, bool]:
-    """Re-canonicalize a with its endpoints rounded (RoundedRuns) and its
-    gaps shorter than fill_eta filled, in one normalization pass; the flag is
-    True iff gap-filling changed the set."""
-    runs = RoundedRuns(
-        ((p.start.value, p.start.value + p.length) for p in a.arcs),
-        max_denominator,
-        fill_eta,
-    )
-    out, filled = _normalize_segments_flagged(runs, fill_eta)
-    return out, filled or runs.filled
-
+    """Re-canonicalize a, filling gaps shorter than fill_eta, in one pass; a
+    limit first rounds the arc ends to its grid.  The flag is True iff
+    gap-filling changed the set."""
+    if limit is None:
+        raw = ((p.start.value, p.start.value + p.length) for p in a.arcs)
+        return _normalize_segments_flagged(raw, fill_eta)
+    d, table = limit, _endpoint_table(a)
+    ends = ((_grid_point(sn, sd, d), _grid_point(en, ed, d)) for sn, sd, en, ed in table)
+    return _grid_arcset(ends, d, fill_eta)

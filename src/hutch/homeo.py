@@ -14,7 +14,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .circle import (
     Arc,
@@ -22,6 +22,7 @@ from .circle import (
     CirclePoint,
     RationalLike,
     frac,
+    full_circle,
     normalize,
 )
 
@@ -142,6 +143,25 @@ class PLHomeo:
         # a/d * t + c/d + n
         return a * r + (c + n * d) * q, d * q
 
+    def _grid_lift(self, grid: int) -> Callable[[int], int]:
+        """k -> _grid_point(*self._lift_ints(k, grid), grid), from a table of
+        piece starts ceil(x_j grid)."""
+        on, od = self.offset.numerator, self.offset.denominator
+        pieces = self._pieces if self.breakpoints else [(0, 1, od, on, od)]  # rotation
+        bounds = [-(-xn * grid // xd) for xn, xd, _, _, _ in pieces]
+        table = [(2 * a, 2 * c * grid + d, 2 * d) for _, _, a, c, d in pieces]
+        first = bounds[0]
+
+        def lift(k: int) -> int:
+            n, r = divmod(k, grid)
+            if r < first:
+                r += grid
+                n -= 1
+            a, c, d = table[bisect_right(bounds, r) - 1]
+            return n * grid + (a * r + c) // d
+
+        return lift
+
     def __call__(self, p: CirclePoint) -> CirclePoint:
         v = p.value
         num, den = self._lift_ints(v.numerator, v.denominator)
@@ -180,8 +200,6 @@ class PLHomeo:
         """The exact set {x : f(x) = x}: a finite union of points and arcs
         (PL graphs meet the diagonal in segments), or None if empty."""
         if not self.breakpoints:
-            from .circle import full_circle
-
             return full_circle() if self.offset == 0 else None
         xs: list[Fraction] = self._xs  # type: ignore[attr-defined]
         ys: list[Fraction] = self._ys  # type: ignore[attr-defined]
@@ -226,18 +244,6 @@ class PLHomeo:
             raise ValueError(f"{p!r} is not a fixed point")
         left, right = self.one_sided_slopes(p)
         return left < 1 and right < 1
-
-    # -- diagnostics ---------------------------------------------------------
-
-    def rotation_number_estimate(self, n: int) -> tuple[Fraction, Fraction]:
-        """An interval of width 2/n containing the rotation number, from the
-        n-th lift iterate at 0."""
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        x = Fraction(0)
-        for _ in range(n):
-            x = self.lift(x)
-        return (Fraction(x - 1, n), Fraction(x + 1, n))
 
 
 def _lift_table(

@@ -14,8 +14,8 @@ from typing import Iterator, NamedTuple, Sequence
 from .circle import (
     ArcSet,
     CirclePoint,
-    RoundedRuns,
     _exact_key,
+    _grid_arcset,
     _normalize_segments_flagged,
     gap_radius,
     hausdorff,
@@ -58,11 +58,11 @@ class PrecisionPolicy:
     """Optional per-step precision and size controls for iteration.
 
     Exact arithmetic is the default (all fields off).  denominator_limit D
-    rounds every endpoint to the nearest multiple of 1/D (the upper one on a
-    tie) in each step; coarsen fills gaps shorter than it; arc_cap makes
-    orbit abort (ResourceCapError) at a set of more arcs than the cap while
-    coarsening is off.  Values of the
-    wrong type (D and cap not int, eta not Fraction) or out of range (D < 1,
+    keeps every set of an orbit on the grid (1/D)Z, rounding each image end
+    to the nearest grid point (the upper one on a tie); coarsen fills gaps
+    shorter than it; arc_cap makes orbit abort (ResourceCapError) at a set
+    of more arcs than the cap while coarsening is off.  Values of the wrong
+    type (D and cap not int, eta not Fraction) or out of range (D < 1,
     eta <= 0, cap < 1) raise ValueError naming the field.
     """
 
@@ -83,18 +83,31 @@ class PrecisionPolicy:
 EXACT = PrecisionPolicy()
 
 # Shipped default for probe runs on the finite-stage Denjoy systems, whose
-# singleton orbits grow too fast for exact arithmetic at depth 32+.  The
-# dyadic endpoint grid 2^-16 keeps rounding noise (<= 2^-17 per endpoint
-# and step) and the coarsening slack (2^-11) far below every probe
-# tolerance in use.
-PROBE_POLICY = PrecisionPolicy(
-    denominator_limit=2**16, coarsen=Fraction(1, 2**11)
-)
+# singleton orbits grow too fast for exact arithmetic at depth 32+.  Its
+# orbits stay on the dyadic grid 2^-16, which keeps rounding noise (<= 2^-17
+# per endpoint and step) and the coarsening slack (2^-11) far below every
+# probe tolerance in use.
+PROBE_POLICY = PrecisionPolicy(denominator_limit=2**16, coarsen=Fraction(1, 2**11))
 
 
 def _images(generators: Sequence[PLHomeo], a: ArcSet):
     """Lift segments g(arc) for each generator g (outer) and arc of A."""
     return (g.image_segment(piece) for g in generators for piece in a.arcs)
+
+
+def _grid_images(generators: Sequence[PLHomeo], a: ArcSet, limit: int):
+    """Grid-unit segments g(arc), rounded by grid lifts, for each arc of A
+    and generator g; an arc off (1/limit)Z raises ValueError."""
+    lifts = [g._grid_lift(limit) for g in generators]
+    for piece in a.arcs:
+        s, length = piece.start.value, piece.length
+        if limit % s.denominator or limit % length.denominator:
+            raise ValueError(f"{piece} is off the grid (1/{limit})Z")
+        k = s.numerator * (limit // s.denominator)
+        e = k + length.numerator * (limit // length.denominator)
+        for lift in lifts:
+            lo = lift(k)
+            yield lo, lo if k == e else lift(e)
 
 
 def hutchinson(system: IFS, a: ArcSet) -> ArcSet:
@@ -107,12 +120,13 @@ def hutchinson_step(
 ) -> tuple[ArcSet, bool]:
     """One Hutchinson step with the policy's rounding and coarsening applied
     in the same normalization pass; returns (F(A) processed, coarsened?).
-    The arc cap is orbit's to check."""
-    eta = policy.coarsen
-    runs = RoundedRuns(_images(system.generators, a), policy.denominator_limit, eta)
-    # ifs's own binding, not circle's: tracers count segments through it as step work
-    out, coarsened = _normalize_segments_flagged(runs, eta)
-    return out, coarsened or runs.filled
+    Under a limit D it runs in grid units; A must lie on (1/D)Z, as orbit
+    keeps it.  The arc cap is orbit's to check."""
+    limit, eta = policy.denominator_limit, policy.coarsen
+    if limit is None:
+        # ifs's own binding, not circle's: tracers count segments through it as step work
+        return _normalize_segments_flagged(_images(system.generators, a), eta)
+    return _grid_arcset(_grid_images(system.generators, a, limit), limit, eta)
 
 
 def orbit(

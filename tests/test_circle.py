@@ -10,7 +10,7 @@ from hutch.circle import (
     Arc,
     ArcSet,
     CirclePoint,
-    RoundedRuns,
+    _grid_arcset,
     _grid_point,
     _normalize_segments_flagged,
     arc,
@@ -26,6 +26,7 @@ from hutch.circle import (
     union,
 )
 from hutch.cli import _arcset, _json
+from hutch.ifs import PrecisionPolicy, _images, hutchinson_step, inverse_system
 from conftest import grid_rounded, random_arcset
 
 F = Fraction
@@ -500,8 +501,8 @@ def on_grid(x: Fraction, limit: int) -> int:
 @settings(max_examples=300)
 @given(st.data(), st.one_of(st.sampled_from(LIMITS), st.integers(1, 2**16)))
 def test_grid_point_moves_a_point_by_at_most_half_a_step(data, limit):
-    # what RoundedRuns rests on: the nearest multiple of 1/D, ties up, which
-    # is monotone and commutes with integer shifts
+    # what a limited step rests on: the nearest multiple of 1/D, ties up,
+    # which is monotone and commutes with integer shifts
     x = data.draw(rounding_points(limit))
     k = on_grid(x, limit)
     assert F(k, limit) == grid_rounded(x, limit)
@@ -542,12 +543,9 @@ def margin_segments(draw, limit, eta):
 
 @st.composite
 def rounding_cases(draw):
-    """(segments, D, eta): any lift-line segments, or margin segments; D
-    None (no rounding) takes lift-line segments only."""
-    limit = draw(st.sampled_from(LIMITS + [None]))
+    """(segments, D, eta): any lift-line segments, or margin segments."""
+    limit = draw(st.sampled_from(LIMITS))
     eta = draw(st.sampled_from(ETAS))
-    if limit is None:
-        return draw(lift_segments()), limit, eta
     segments = draw(st.one_of(lift_segments(), margin_segments(limit, eta)))
     return segments, limit, eta
 
@@ -568,24 +566,49 @@ def rounding_cases(draw):
 @example(([(F(1, 2),) * 2], 1, None))
 @example(([(F(-1, 4),) * 2, (F(-3, 4),) * 2], 2, None))
 def test_rounding_runs_matches_rounding_segments(case):
+    # the int run builder, fed the rounded ends in grid units, gives what
+    # normalising the segments rounded in Fraction arithmetic gives
     segments, limit, eta = case
-    runs = RoundedRuns(iter(segments), limit, eta)
-    pulled = list(runs)
-    if limit is None:
-        assert pulled == segments and not runs.filled
-        reference = segments
-    else:
-        # rounded runs inside [0, 1], in order, on the grid
-        assert all(0 <= lo <= hi <= 1 for lo, hi in pulled)
-        assert all(limit % v.denominator == 0 for run in pulled for v in run)
-        assert all(a[1] <= b[0] for a, b in zip(pulled, pulled[1:]))
-        reference = [
-            (grid_rounded(lo, limit), grid_rounded(hi, limit))
-            for lo, hi in segments
-        ]
-    out, coarsened = _normalize_segments_flagged(pulled, eta)
-    assert (out, coarsened or runs.filled) == _normalize_segments_flagged(
-        reference, eta
+    ints = [(on_grid(lo, limit), on_grid(hi, limit)) for lo, hi in segments]
+    out, coarsened = _grid_arcset(iter(ints), limit, eta)
+    ends = [v for piece in out.arcs for v in (piece.start.value, piece.length)]
+    assert all(limit % v.denominator == 0 for v in ends)
+    reference = [
+        (grid_rounded(lo, limit), grid_rounded(hi, limit)) for lo, hi in segments
+    ]
+    assert (out, coarsened) == _normalize_segments_flagged(reference, eta)
+
+
+SYSTEMS = ("theorem1 forward", "theorem1 backward", "theorem2", "theorem2 inverse")
+
+
+@settings(max_examples=100)
+@given(
+    st.sampled_from(SYSTEMS),
+    st.sampled_from(LIMITS),
+    st.sampled_from(ETAS),
+    st.sampled_from([16, 64, 2**16]),
+    st.randoms(use_true_random=False),
+)
+def test_limited_step_matches_rounding_every_image_end(
+    theorem1, theorem2, name, limit, eta, denom, rng
+):
+    # a limited step maps grid ends through the grid lifts; the reference
+    # rounds both ends of every exact image segment, then normalises
+    system = {
+        "theorem1 forward": theorem1.forward,
+        "theorem1 backward": theorem1.backward,
+        "theorem2": theorem2,
+        "theorem2 inverse": inverse_system(theorem2),
+    }[name]
+    a, _ = round_arcset(random_arcset(rng, max_arcs=6, denom=denom), limit, None)
+    rounded = [
+        (grid_rounded(lo, limit), grid_rounded(hi, limit))
+        for lo, hi in _images(system.generators, a)
+    ]
+    policy = PrecisionPolicy(denominator_limit=limit, coarsen=eta)
+    assert hutchinson_step(system, a, policy) == _normalize_segments_flagged(
+        rounded, eta
     )
 
 

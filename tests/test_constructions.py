@@ -110,11 +110,31 @@ def test_denjoy_gap_lengths_decay(theorem1):
         assert approx.gap(-n - 1).length == approx.gap(-n).length * approx.gap_ratio
 
 
+def rotation_number_estimate(g: PLHomeo, n: int) -> tuple[Fraction, Fraction]:
+    """An interval of width 2/n containing g's rotation number, from the
+    n-th lift iterate at 0."""
+    x = F(0)
+    for _ in range(n):
+        x = g.lift(x)
+    return (x - 1) / n, (x + 1) / n
+
+
+def test_rotation_number_of_rotation():
+    lo, hi = rotation_number_estimate(PLHomeo.rotation(F(1, 3)), 3)
+    assert lo <= F(1, 3) <= hi
+    assert hi - lo == F(2, 3)
+
+
+def test_rotation_number_of_identity():
+    lo, hi = rotation_number_estimate(PLHomeo.identity(), 10)
+    assert lo <= 0 <= hi
+
+
 def test_denjoy_rotation_number_tracks_alpha(theorem1):
     approx = theorem1.approximants[0]
     q = approx.alpha.denominator
     for n in (q // 2, q):
-        lo, hi = approx.g.rotation_number_estimate(n)
+        lo, hi = rotation_number_estimate(approx.g, n)
         assert lo <= approx.alpha <= hi
 
 
@@ -138,7 +158,7 @@ def test_denjoy_preconditions():
 
 def test_rotation_number_of_small_alpha_approximant():
     approx = denjoy_approximant(F(13, 21), F(1, 2), F(1, 2), 8)
-    lo, hi = approx.g.rotation_number_estimate(42)
+    lo, hi = rotation_number_estimate(approx.g, 42)
     assert lo <= F(13, 21) <= hi
 
 

@@ -3,11 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from hutch.circle import Arc, CirclePoint, arc, full_circle, normalize
+from hutch import build_theorem1, theorem2_ifs
+from hutch.circle import Arc, CirclePoint, _grid_point, arc, full_circle, normalize
 from hutch.cli import _homeo, _json
 from hutch.homeo import InvalidHomeoError, PLHomeo
-from conftest import random_point
+from conftest import ALPHA, grid_rounded, random_point
 
 F = Fraction
 
@@ -226,18 +229,52 @@ def test_is_attracting_requires_fixed_point(theorem2):
         theorem2.generators[0].is_attracting(CirclePoint(0))
 
 
-# -- rotation number ------------------------------------------------------------------
+# -- grid lift ----------------------------------------------------------------------
+
+THEOREM1 = build_theorem1()
+# Every theorem1 and theorem2 generator, and rotations (one piece each).
+GRID_LIFT_MAPS = (
+    list(theorem2_ifs(ALPHA).generators)
+    + [g for s in (THEOREM1.forward, THEOREM1.backward) for g in s.generators]
+    + [PLHomeo.rotation(F(13, 21)), PLHomeo.rotation(F(6, 7)), PLHomeo.identity()]
+)
+GRID_LIFT_LIMITS = [1, 2, 16, 2**16]
 
 
-def test_rotation_number_of_rotation():
-    lo, hi = PLHomeo.rotation(F(1, 3)).rotation_number_estimate(3)
-    assert lo <= F(1, 3) <= hi
-    assert hi - lo == F(2, 3)
+@st.composite
+def grid_lift_cases(draw):
+    """(map index, D, k): k a grid unit in [-2D, 3D]."""
+    index = draw(st.integers(0, len(GRID_LIFT_MAPS) - 1))
+    limit = draw(st.sampled_from(GRID_LIFT_LIMITS))
+    return index, limit, draw(st.integers(-2 * limit, 3 * limit))
 
 
-def test_rotation_number_of_identity():
-    lo, hi = PLHomeo.identity().rotation_number_estimate(10)
-    assert lo <= 0 <= hi
+def piece_start_examples(test):
+    """An @example at each piece start ceil(x_j D) and the unit before it,
+    for every map and D, and a turn below the first start, where the lift
+    wraps to the last piece."""
+    cases = set()
+    for index, g in enumerate(GRID_LIFT_MAPS):
+        for limit in GRID_LIFT_LIMITS:
+            starts = [
+                -(-x.value.numerator * limit // x.value.denominator)
+                for x, _ in g.breakpoints
+            ] or [0]
+            cases.update((index, limit, k) for b in starts for k in (b, b - 1))
+            cases.add((index, limit, starts[0] - 1 - limit))
+    for case in sorted(cases):
+        test = example(case)(test)
+    return test
+
+
+@piece_start_examples
+@given(grid_lift_cases())
+def test_grid_lift_rounds_the_lift(case):
+    index, limit, k = case
+    g = GRID_LIFT_MAPS[index]
+    image = g._grid_lift(limit)(k)
+    assert image == _grid_point(*g._lift_ints(k, limit), limit)
+    assert F(image, limit) == grid_rounded(g.lift(F(k, limit)), limit)
 
 
 # -- serialization --------------------------------------------------------------

@@ -191,8 +191,11 @@ def test_probe_policy_orbits_match_rounding_every_segment(theorem1, theorem2):
 def test_steps_normalise_through_the_ifs_binding_and_step_zero_through_circle(
     theorem2, monkeypatch
 ):
-    # a tracer wraps both bindings and counts what goes through ifs's as
-    # step work, so step 0 must not go through it, nor a step around it
+    # In exact mode a tracer wraps both bindings and counts what goes through
+    # ifs's as step work, so step 0 must not go through it, nor a step around
+    # it.  Under a limit every step runs on grid ints: it calls neither
+    # binding, nor image_segment.
+    start = point_set([CirclePoint(F(1, 3))])
     calls = {"ifs": 0, "circle": 0}
     for name, module in (("ifs", ifs), ("circle", circle)):
         real = module._normalize_segments_flagged
@@ -202,15 +205,35 @@ def test_steps_normalise_through_the_ifs_binding_and_step_zero_through_circle(
             return real(raw, fill_eta)
 
         monkeypatch.setattr(module, "_normalize_segments_flagged", counted)
-    start = point_set([CirclePoint(F(1, 3))])
-    for policy in (EXACT, PROBE_POLICY):
-        calls.update(ifs=0, circle=0)
-        steps = orbit(theorem2, start, policy)
+    steps = orbit(theorem2, start, EXACT)
+    next(steps)
+    assert calls == {"ifs": 0, "circle": 1}
+    next(steps)
+    next(steps)
+    assert calls == {"ifs": 2, "circle": 1}
+
+    def image_segment(self, a):
+        raise AssertionError("a limited step called image_segment")
+
+    monkeypatch.setattr(PLHomeo, "image_segment", image_segment)
+    calls.update(ifs=0, circle=0)
+    steps = orbit(theorem2, start, PROBE_POLICY)
+    for _ in range(3):
         next(steps)
-        assert calls == {"ifs": 0, "circle": 1}
-        next(steps)
-        next(steps)
-        assert calls == {"ifs": 2, "circle": 1}
+    assert calls == {"ifs": 0, "circle": 0}
+
+
+def test_limited_step_rejects_a_set_off_the_grid(theorem1):
+    # orbit rounds step 0, so only a set from elsewhere can be off the grid
+    for start in (F(1, 3), F(1, 2**17)):
+        off = point_set([CirclePoint(start)])
+        with pytest.raises(ValueError, match=f"{start}.*off the grid"):
+            hutchinson_step(theorem1.forward, off, PROBE_POLICY)
+    off = normalize([Arc(CirclePoint(F(1, 4)), F(1, 3))])
+    with pytest.raises(ValueError, match="off the grid"):
+        hutchinson_step(theorem1.forward, off, PROBE_POLICY)
+    on = point_set([CirclePoint(F(3, 2**16))])
+    hutchinson_step(theorem1.forward, on, PROBE_POLICY)  # on the grid: no error
 
 
 # -- orbit_density_probe ------------------------------------------------------------
